@@ -3,9 +3,8 @@
 #
 # One script, one CMake switch (-DGLTO_SANITIZE=...), three sanitizers:
 #
-#   asan  — the historical sanitized subset (scripts/asan_ctest.sh is now a
-#           shim onto this): taskdep/scheduler/backend/sync suites under
-#           AddressSanitizer with fiber-stack annotations.
+#   asan  — the historical sanitized subset: taskdep/scheduler/backend/sync
+#           suites under AddressSanitizer with fiber-stack annotations.
 #   tsan  — fiber-aware ThreadSanitizer over the FULL ctest suite, once per
 #           ULT backend (GLT_IMPL=abt, qth, mth). fctx announces every
 #           context switch via __tsan_switch_to_fiber, so cross-thread ULT
@@ -26,7 +25,7 @@ esac
 
 build="build-$san"
 case "$san" in
-  # Debug -O1 keeps ASan line info exact (matches the old asan_ctest.sh).
+  # Debug -O1 keeps ASan line info exact.
   asan)  btype=Debug ;;
   # TSan wants optimized code (5-15x slowdown otherwise compounds) but
   # needs debug info for reports; UBSan likewise.

@@ -29,8 +29,8 @@
 
 namespace glto::sched {
 
-/// Scheduler-behaviour counters common to every backend (zero under
-/// locked dispatch / one thread). Backend Stats structs inherit this so
+/// Scheduler-behaviour counters common to every backend (steals are zero
+/// with one thread). Backend Stats structs inherit this so
 /// glt::stats() copies the block once instead of field by field.
 struct StatsSnapshot {
   std::uint64_t steals = 0;           ///< units taken from another worker

@@ -12,6 +12,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/env.hpp"
 #include "omp/kmp_abi.hpp"
 #include "omp/omp.hpp"
 #include "sched/chaos.hpp"
@@ -293,6 +294,49 @@ INSTANTIATE_TEST_SUITE_P(
       }
       return n;
     });
+
+// ---- chaos plan parsing --------------------------------------------------
+
+// resolve_chaos is what arms the chaos CI leg: a parse that silently drops
+// a key would turn the leg into a no-op, so the grammar is pinned here.
+TEST(Chaos, ResolveParsesEnvSpec) {
+  namespace gs = glto::sched;
+  namespace env = glto::common;
+  constexpr const char* kVar = "TEST_GLTO_CHAOS";
+
+  env::env_set(kVar, "delay:0.25,seed:7,SPAWN:0.5,alloc:0.125");
+  auto c = gs::resolve_chaos(kVar);
+  EXPECT_TRUE(c.enabled) << "keys in any order, case-insensitive";
+  EXPECT_DOUBLE_EQ(c.spawn_p, 0.5);
+  EXPECT_DOUBLE_EQ(c.alloc_p, 0.125);
+  EXPECT_DOUBLE_EQ(c.delay_p, 0.25);
+  EXPECT_EQ(c.seed, 7u);
+
+  env::env_set(kVar, "spawn:1.5,alloc:-0.2,delay:0.1");
+  c = gs::resolve_chaos(kVar);
+  EXPECT_DOUBLE_EQ(c.spawn_p, 1.0) << "probabilities clamp to [0,1]";
+  EXPECT_DOUBLE_EQ(c.alloc_p, 0.0);
+  EXPECT_DOUBLE_EQ(c.delay_p, 0.1);
+
+  env::env_set(kVar, "spawn:0.1,seed:0");
+  c = gs::resolve_chaos(kVar);
+  EXPECT_EQ(c.seed, 1u) << "seed 0 would be a degenerate stream";
+
+  env::env_set(kVar, "spawn:0.2,bogus:3,alloc:x,delay:0.3");
+  c = gs::resolve_chaos(kVar);
+  EXPECT_TRUE(c.enabled) << "unknown tokens are skipped, not fatal";
+  EXPECT_DOUBLE_EQ(c.spawn_p, 0.2);
+  EXPECT_DOUBLE_EQ(c.alloc_p, 0.0);
+  EXPECT_DOUBLE_EQ(c.delay_p, 0.3);
+
+  env::env_set(kVar, "");
+  EXPECT_FALSE(gs::resolve_chaos(kVar).enabled) << "empty → disabled";
+  env::env_set(kVar, nullptr);
+  c = gs::resolve_chaos(kVar);
+  EXPECT_FALSE(c.enabled) << "unset → disabled";
+  EXPECT_DOUBLE_EQ(c.spawn_p, 0.0);
+  EXPECT_EQ(c.seed, 1u);
+}
 
 // ---- watchdog ------------------------------------------------------------
 

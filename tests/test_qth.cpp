@@ -6,7 +6,6 @@
 #include <thread>
 #include <vector>
 
-#include "common/env.hpp"
 #include "qth/qth.hpp"
 
 namespace gq = glto::qth;
@@ -292,37 +291,6 @@ TEST(Qth, StealsRescueWorkFromBusyShepherd) {
   EXPECT_GT(gq::stats().steals, 0u);
   aligned_t sink = 0;
   gq::readFF(&sink, &ret);
-}
-
-TEST(Qth, LockedDispatchRestoresSeedBaseline) {
-  namespace env = glto::common;
-  env::env_set("QTH_DISPATCH", "locked");
-  {
-    QthScope s(2);
-    EXPECT_EQ(gq::dispatch_mode(), gq::Dispatch::Locked);
-    constexpr int kN = 100;
-    static std::atomic<int> count;
-    count = 0;
-    std::vector<aligned_t> rets(kN, 0);
-    for (int i = 0; i < kN; ++i) {
-      gq::fork(
-          [](void*) -> aligned_t {
-            count.fetch_add(1);
-            return 0;
-          },
-          nullptr, &rets[static_cast<std::size_t>(i)]);
-    }
-    aligned_t sink = 0;
-    for (auto& r : rets) gq::readFF(&sink, &r);
-    EXPECT_EQ(count.load(), kN);
-    EXPECT_EQ(gq::stats().steals, 0u) << "locked mode never steals";
-  }
-  env::env_set("QTH_DISPATCH", nullptr);
-  {
-    QthScope s(2);
-    EXPECT_EQ(gq::dispatch_mode(), gq::Dispatch::WorkStealing)
-        << "work stealing is the default dispatch";
-  }
 }
 
 TEST(Qth, SharedPoolRunsEverything) {
