@@ -18,6 +18,17 @@
 // returning true hands ownership of the handle to the eventual
 // signaller, which resumes it with `resume(handle)`.
 //
+// Lock discipline: each primitive's internal lock is a common::SpinLock
+// held for a few loads and stores, never across a suspend. A signaller
+// pops (or detaches) waiters under it and wakes them only after the
+// unlock, touching nothing but the popped nodes. Channel is built
+// directly on this — a spin-locked ring plus a sender and a receiver
+// wait list — rather than on Mutex + Condvar: Mutex hands ownership FIFO
+// to a *suspended* waiter, which then holds the lock until its worker
+// schedules it, so a channel behind it would convoy every party on the
+// slowest worker. Mutex and Condvar remain the user-level primitives
+// (omp::mutex, critical, glt::cond) where that handoff is the contract.
+//
 // Contexts that cannot suspend (foreign OS threads, tasklets, the
 // pthread runtimes) fall back to a work-conserving park on the calling
 // thread's Parker: the signaller banks a permit, so the wake is never
@@ -29,6 +40,7 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <limits>
 #include <type_traits>
 #include <vector>
 
@@ -485,6 +497,16 @@ bool wait_until(Pred&& pred, std::int64_t deadline_ns) {
 /// while full, recv blocks while empty; close() wakes everyone — send
 /// returns false after close, recv returns false once closed *and*
 /// drained.
+///
+/// Lock discipline: one SpinLock guards the ring and both wait lists, and
+/// no path ever suspends while holding it — a blocked sender or receiver
+/// parks through the same enqueue-under-lock protocol as Event, and its
+/// callback re-checks full/empty/closed under the lock. A successful send
+/// pops one blocked receiver, a successful recv one blocked sender, and
+/// each wakes its waiter after the unlock; a woken waiter loops and
+/// retries, so a slot or item taken by a newcomer in between only costs
+/// the waiter another park. Why not Mutex + Condvar: see the lock
+/// discipline note at the top of this file.
 template <typename T>
 class Channel {
   static_assert(std::is_trivially_copyable_v<T>,
@@ -497,138 +519,150 @@ class Channel {
   Channel(const Channel&) = delete;
   Channel& operator=(const Channel&) = delete;
 
-  bool send(const T& v) {
-    m_.lock();
-    while (count_ == cap_ && !closed_) not_full_.wait(m_);
-    if (closed_) {
-      m_.unlock();
-      return false;
-    }
-    buf_[(head_ + count_) % cap_] = v;
-    ++count_;
-    m_.unlock();
-    not_empty_.notify_one();
-    return true;
-  }
-
-  bool recv(T& out) {
-    m_.lock();
-    while (count_ == 0 && !closed_) not_empty_.wait(m_);
-    if (count_ == 0) {
-      m_.unlock();
-      return false;  // closed and drained
-    }
-    out = buf_[head_];
-    head_ = (head_ + 1) % cap_;
-    --count_;
-    m_.unlock();
-    not_full_.notify_one();
-    return true;
-  }
+  bool send(const T& v) { return send_until(v, kNoDeadline); }
+  bool recv(T& out) { return recv_until(out, kNoDeadline); }
 
   /// send() with a deadline (common::now_ns clock): false when the
   /// channel stayed full past @p deadline_ns or was closed — the item was
-  /// never enqueued. The deadline covers the whole operation, including
-  /// the channel-mutex acquire.
+  /// never enqueued. The deadline bounds only the wait for a free slot;
+  /// the channel lock is a spin lock and is never waited on by suspending.
+  /// A slot freed by a receiver that woke this waiter as the deadline
+  /// expired is still taken: the signal wins the race.
   bool send_until(const T& v, std::int64_t deadline_ns) {
-    if (!m_.try_lock_until(deadline_ns)) return false;
-    while (count_ == cap_ && !closed_) {
-      if (!not_full_.wait_until(m_, deadline_ns)) {
-        // Timed out — but the mutex is reacquired, so re-check before
-        // failing: a slot freed between timeout and reacquire is ours.
-        if (count_ == cap_ && !closed_) {
-          m_.unlock();
-          return false;
-        }
-      }
+    for (;;) {
+      const Attempt a = attempt_send(v);
+      if (a != Attempt::blocked) return a == Attempt::done;
+      if (!park(&Channel::send_wait_cb, &senders_, deadline_ns)) return false;
     }
-    if (closed_) {
-      m_.unlock();
-      return false;
-    }
-    buf_[(head_ + count_) % cap_] = v;
-    ++count_;
-    m_.unlock();
-    not_empty_.notify_one();
-    return true;
   }
 
   /// recv() with a deadline: drains remaining items after close() before
-  /// failing, exactly like recv. A false return consumed nothing — an
-  /// item sent concurrently with the timeout stays in the channel for
-  /// the next receiver.
+  /// failing, exactly like recv, also when the deadline has already
+  /// passed. A false return consumed nothing — an item sent concurrently
+  /// with the timeout stays in the channel for the next receiver.
   bool recv_until(T& out, std::int64_t deadline_ns) {
-    if (!m_.try_lock_until(deadline_ns)) return false;
-    while (count_ == 0 && !closed_) {
-      if (!not_empty_.wait_until(m_, deadline_ns)) {
-        // Re-check under the reacquired mutex: an item that arrived
-        // between the timeout and the reacquire must not be lost.
-        if (count_ == 0) {
-          m_.unlock();
-          return false;
-        }
+    for (;;) {
+      const Attempt a = attempt_recv(out);
+      if (a != Attempt::blocked) return a == Attempt::done;
+      if (!park(&Channel::recv_wait_cb, &receivers_, deadline_ns)) {
+        return false;
       }
     }
-    if (count_ == 0) {
-      m_.unlock();
-      return false;  // closed and drained
-    }
-    out = buf_[head_];
-    head_ = (head_ + 1) % cap_;
-    --count_;
-    m_.unlock();
-    not_full_.notify_one();
-    return true;
   }
 
   /// Non-blocking variants: false when the channel is full/empty/closed.
-  bool try_send(const T& v) {
-    ScopedLock g(m_);
-    if (closed_ || count_ == cap_) return false;
-    buf_[(head_ + count_) % cap_] = v;
-    ++count_;
-    not_empty_.notify_one();
-    return true;
-  }
-  bool try_recv(T& out) {
-    ScopedLock g(m_);
-    if (count_ == 0) return false;
-    out = buf_[head_];
-    head_ = (head_ + 1) % cap_;
-    --count_;
-    not_full_.notify_one();
-    return true;
-  }
+  bool try_send(const T& v) { return attempt_send(v) == Attempt::done; }
+  bool try_recv(T& out) { return attempt_recv(out) == Attempt::done; }
 
   void close() {
-    m_.lock();
-    closed_ = true;
-    m_.unlock();
-    not_empty_.notify_all();
-    not_full_.notify_all();
+    WaitNode* senders;
+    WaitNode* receivers;
+    {
+      common::SpinGuard g(lock_);
+      closed_ = true;
+      senders = senders_.detach_all();
+      receivers = receivers_.detach_all();
+    }
+    sync_detail::wake_list(receivers);
+    sync_detail::wake_list(senders);
   }
 
   [[nodiscard]] bool closed() {
-    ScopedLock g(m_);
+    common::SpinGuard g(lock_);
     return closed_;
   }
   /// Queued-item snapshot for admission heuristics — a locked read, but
   /// stale by the time the caller acts on it.
   [[nodiscard]] std::size_t size() {
-    ScopedLock g(m_);
+    common::SpinGuard g(lock_);
     return count_;
   }
   [[nodiscard]] std::size_t capacity() const { return cap_; }
 
  private:
-  Mutex m_;
-  Condvar not_full_;
-  Condvar not_empty_;
-  std::vector<T> buf_ GLTO_GUARDED_BY(m_);
+  /// One locked attempt: done (item moved), failed (closed, or drained
+  /// and closed), or blocked (full/empty — the caller may park).
+  enum class Attempt { done, failed, blocked };
+
+  Attempt attempt_send(const T& v) {
+    WaitNode* w;
+    {
+      common::SpinGuard g(lock_);
+      if (closed_) return Attempt::failed;
+      if (count_ == cap_) return Attempt::blocked;
+      buf_[(head_ + count_) % cap_] = v;
+      ++count_;
+      w = receivers_.pop();
+    }
+    if (w != nullptr) sync_detail::wake_node(w);
+    return Attempt::done;
+  }
+
+  Attempt attempt_recv(T& out) {
+    WaitNode* w;
+    {
+      common::SpinGuard g(lock_);
+      if (count_ == 0) return closed_ ? Attempt::failed : Attempt::blocked;
+      out = buf_[head_];
+      head_ = (head_ + 1) % cap_;
+      --count_;
+      w = senders_.pop();
+    }
+    if (w != nullptr) sync_detail::wake_node(w);
+    return Attempt::done;
+  }
+
+  /// The untimed calls' deadline: they suspend through park_current
+  /// instead of polling through the timed park.
+  static constexpr std::int64_t kNoDeadline =
+      std::numeric_limits<std::int64_t>::max();
+
+  /// Parks the caller on @p list (which @p cb pushes onto) until a
+  /// signaller wakes it, or @p cb sees the state changed. False only when
+  /// a timed wait expired with the node unlinked.
+  bool park(bool (*cb)(sync_detail::ParkOp*), WaitList* list,
+            std::int64_t deadline_ns) {
+    WaitNode n;
+    sync_detail::ParkOp op;
+    op.lock = &lock_;
+    op.node = &n;
+    op.try_enqueue = cb;
+    op.ctx = this;
+    if (deadline_ns == kNoDeadline) {
+      sync_detail::park_current(op);
+      return true;
+    }
+    op.cancel_list = list;
+    return sync_detail::timed_park_current(op, deadline_ns) !=
+           sync_detail::TimedPark::timeout;
+  }
+
+  // Both run with lock_ held through the aliased ParkOp::lock pointer.
+  // Returning false (the state changed since the attempt) sends the
+  // caller round its retry loop without parking.
+  static bool send_wait_cb(sync_detail::ParkOp* op)
+      GLTO_NO_THREAD_SAFETY_ANALYSIS {
+    auto* c = static_cast<Channel*>(op->ctx);
+    if (c->closed_ || c->count_ < c->cap_) return false;
+    c->senders_.push(op->node);
+    return true;
+  }
+  static bool recv_wait_cb(sync_detail::ParkOp* op)
+      GLTO_NO_THREAD_SAFETY_ANALYSIS {
+    auto* c = static_cast<Channel*>(op->ctx);
+    if (c->closed_ || c->count_ > 0) return false;
+    c->receivers_.push(op->node);
+    return true;
+  }
+
+  common::SpinLock lock_;
+  std::vector<T> buf_ GLTO_GUARDED_BY(lock_);
   std::size_t cap_;  ///< immutable after construction
-  std::size_t head_ GLTO_GUARDED_BY(m_) = 0;
-  std::size_t count_ GLTO_GUARDED_BY(m_) = 0;
-  bool closed_ GLTO_GUARDED_BY(m_) = false;
+  std::size_t head_ GLTO_GUARDED_BY(lock_) = 0;
+  std::size_t count_ GLTO_GUARDED_BY(lock_) = 0;
+  bool closed_ GLTO_GUARDED_BY(lock_) = false;
+  WaitList senders_ GLTO_GUARDED_BY(lock_);    ///< blocked on full
+  WaitList receivers_ GLTO_GUARDED_BY(lock_);  ///< blocked on empty
 };
 
 }  // namespace glto::sched

@@ -40,6 +40,8 @@ constexpr int kPerProducer = 150;
 constexpr int kBarrierRounds = 50;
 constexpr int kBarrierParties = 3;
 constexpr int kTimedRaceRounds = 60;
+constexpr int kDrainReceivers = 8;
+constexpr int kDrainItems = 1 << 16;
 }  // namespace
 
 class SyncBackend : public ::testing::TestWithParam<gg::Impl> {
@@ -621,6 +623,133 @@ TEST_P(SyncBackend, ChannelTimedRecvNeverLosesConcurrentItem) {
       EXPECT_EQ(v, r);
     }
   }
+}
+
+TEST_P(SyncBackend, ChannelCloseWakesBlockedSenders) {
+  // Senders blocked on a full channel must all come back with false when
+  // the channel closes, and the items buffered before the close still
+  // drain in order.
+  struct Ctx {
+    gg::channel<int> ch{2};
+    std::atomic<int> refused{0};
+  } ctx;
+  ASSERT_TRUE(ctx.ch.send(1));
+  ASSERT_TRUE(ctx.ch.send(2));
+  constexpr int kSend = 4;
+  std::vector<gg::Ult*> us;
+  for (int i = 0; i < kSend; ++i) {
+    const std::uint64_t parked_before = s::suspensions();
+    us.push_back(gg::ult_create(
+        [](void* p) {
+          auto* c = static_cast<Ctx*>(p);
+          if (!c->ch.send(99)) c->refused.fetch_add(1);
+        },
+        &ctx));
+    // Drive the scheduler until this sender has parked on the full
+    // channel, so the close below really has blocked senders to wake.
+    while (s::suspensions() == parked_before) gg::yield();
+  }
+  ctx.ch.close();
+  for (auto* u : us) gg::ult_join(u);
+  EXPECT_EQ(ctx.refused.load(), kSend);
+  int v = 0;
+  EXPECT_TRUE(ctx.ch.recv(v));
+  EXPECT_EQ(v, 1);
+  EXPECT_TRUE(ctx.ch.recv(v));
+  EXPECT_EQ(v, 2);
+  EXPECT_FALSE(ctx.ch.recv(v)) << "closed and drained";
+}
+
+TEST_P(SyncBackend, ChannelTimedSendNeverDuplicatesOrLoses) {
+  // The send-side mirror of ChannelTimedRecvNeverLosesConcurrentItem: a
+  // send_until on a full channel whose deadline races a recv that frees
+  // the slot is exactly-once — true means its item is received once,
+  // false means it never appears.
+  struct Ctx {
+    gg::channel<int> ch{1};
+    std::atomic<std::int64_t> deadline_ns{0};
+    std::atomic<int> item{0};
+    std::atomic<bool> sent{false};
+  } ctx;
+  for (int r = 0; r < kTimedRaceRounds; ++r) {
+    ASSERT_TRUE(ctx.ch.try_send(-1));  // fill: the timed send must wait
+    ctx.deadline_ns.store(glto::common::now_ns() + (r % 4) * 30'000);
+    ctx.item.store(r);
+    ctx.sent.store(false);
+    auto* u = gg::ult_create(
+        [](void* p) {
+          auto* c = static_cast<Ctx*>(p);
+          if (c->ch.send_until(c->item.load(), c->deadline_ns.load())) {
+            c->sent.store(true);
+          }
+        },
+        &ctx);
+    if ((r & 1) != 0) gg::yield();
+    int v = 0;
+    ASSERT_TRUE(ctx.ch.recv(v));  // frees the slot, racing the timeout
+    EXPECT_EQ(v, -1);
+    gg::ult_join(u);
+    int seen = 0;
+    while (ctx.ch.try_recv(v)) {
+      EXPECT_EQ(v, r) << "round " << r << ": stray item";
+      ++seen;
+    }
+    EXPECT_EQ(seen, ctx.sent.load() ? 1 : 0)
+        << "round " << r << (ctx.sent.load() ? ": sent item lost"
+                                             : ": timed-out send enqueued");
+  }
+}
+
+TEST_P(SyncBackend, ChannelRecvNeverSuspendsWhileItemsQueued) {
+  // K ULT receivers drain a pre-filled channel. Every recv finds an item
+  // queued, so none may suspend — not on the items, and not on the
+  // channel's own lock either. The runtime is re-initialised with one
+  // GLT_thread per receiver and each receiver is placed on its own, so
+  // the recvs contend for real; on a host with fewer cores than that the
+  // OS also preempts receivers inside the channel's critical section. A
+  // channel lock that hands ownership to a waiter that is not running
+  // turns each such preemption into a convoy of suspensions. A count
+  // invariant, not a timing check.
+  gg::finalize();
+  gg::Config cfg;
+  cfg.impl = GetParam();
+  cfg.num_threads = kDrainReceivers;
+  cfg.bind_threads = false;
+  gg::init(cfg);
+  struct Ctx {
+    gg::channel<int> ch{kDrainItems};
+    std::atomic<int> claimed{0};
+    std::atomic<int> done{0};
+    std::atomic<long> sum{0};
+  } ctx;
+  for (int i = 0; i < kDrainItems; ++i) ASSERT_TRUE(ctx.ch.try_send(i));
+  const std::uint64_t susp0 = s::suspensions();
+  std::vector<gg::Ult*> us;
+  for (int k = 0; k < kDrainReceivers; ++k) {
+    us.push_back(gg::ult_create_to(
+        k,
+        [](void* p) {
+          auto* c = static_cast<Ctx*>(p);
+          // Claim before receiving: exactly kDrainItems recvs run, so each
+          // one has an item waiting and none can block on an empty channel.
+          long local = 0;
+          while (c->claimed.fetch_add(1) < kDrainItems) {
+            int v = 0;
+            if (c->ch.recv(v)) local += v;
+          }
+          c->sum.fetch_add(local);
+          c->done.fetch_add(1);
+        },
+        &ctx));
+  }
+  // Wait by yielding, not joining, so the count covers only the drain.
+  while (ctx.done.load() < kDrainReceivers) gg::yield();
+  const std::uint64_t susp = s::suspensions() - susp0;
+  for (auto* u : us) gg::ult_join(u);
+  EXPECT_EQ(ctx.sum.load(),
+            static_cast<long>(kDrainItems) * (kDrainItems - 1) / 2);
+  EXPECT_EQ(ctx.ch.size(), 0u);
+  EXPECT_EQ(susp, 0u) << "a recv suspended with items queued";
 }
 
 TEST_P(SyncBackend, QpServerOverloadAccountingConserves) {
