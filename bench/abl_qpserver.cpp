@@ -8,7 +8,11 @@
 //    enqueue→solved p50/p95/p99/max latency and throughput — the metric
 //    real-time MPC solvers are judged on under multi-user traffic, and
 //    the end-to-end check that Channel park/wake handoff holds up under
-//    sustained load.
+//    sustained load. Every service row also carries solve_us, the median
+//    sequential solve at the request shape (measured once per run), and
+//    the closed-loop rows its service floor floor_rps =
+//    min(concurrency, GLT threads) × 10⁶ / solve_us: the req/s the flock
+//    would reach if queueing and handoff cost nothing.
 //  * barrier wake — K rounds of omp::barrier inside one parallel region.
 //    Under the old WaitBackoff a member that went idle between rounds
 //    woke from a micro-sleep (≤200 µs quantum) after the last arrival;
@@ -29,6 +33,7 @@
 #include <string>
 #include <vector>
 
+#include "apps/bqp.hpp"
 #include "apps/qpserver.hpp"
 #include "bench_common.hpp"
 #include "glt/glt.hpp"
@@ -40,6 +45,7 @@ namespace c = glto::common;
 namespace o = glto::omp;
 namespace gg = glto::glt;
 namespace qp = glto::apps::qpserver;
+namespace bqp = glto::apps::bqp;
 
 namespace {
 
@@ -57,30 +63,48 @@ constexpr Backend kBackends[] = {{gg::Impl::abt, "qpserver-abt"},
 /// higher concurrency shifts the latency distribution, not the backlog.
 constexpr int kConcs[] = {1, 4, 16};
 
-std::string qp_row_fields(const qp::Report& r, const qp::Config& cfg) {
-  char buf[320];
+/// Median wall time (µs) of one Mode::sequential solve of the problem
+/// qpserver::run builds for @p cfg: one worker's service time per request.
+double median_solve_us(const qp::Config& cfg) {
+  const bqp::Problem p = bqp::make_problem(cfg.n, cfg.n, cfg.rank, cfg.seed);
+  constexpr int kSolves = 101;
+  std::vector<double> us;
+  for (int i = 0; i < kSolves; ++i) {
+    const std::int64_t t0 = c::now_ns();
+    (void)bqp::solve(p, bqp::Mode::sequential, cfg.max_iters);
+    us.push_back(static_cast<double>(c::now_ns() - t0) * 1e-3);
+  }
+  std::sort(us.begin(), us.end());
+  return us[kSolves / 2];
+}
+
+std::string qp_row_fields(const qp::Report& r, const qp::Config& cfg,
+                          double solve_us, double floor_rps) {
+  char buf[400];
   std::snprintf(
       buf, sizeof buf,
       "\"requests\": %d, \"queue_depth\": %d, \"completed\": %llu, "
       "\"throughput_rps\": %.1f, \"p50_us\": %llu, \"p95_us\": %llu, "
-      "\"p99_us\": %llu, \"max_us\": %llu",
+      "\"p99_us\": %llu, \"max_us\": %llu, \"solve_us\": %.1f, "
+      "\"floor_rps\": %.1f",
       cfg.requests, cfg.queue_depth,
       static_cast<unsigned long long>(r.completed), r.throughput_rps,
       static_cast<unsigned long long>(r.p50_us),
       static_cast<unsigned long long>(r.p95_us),
       static_cast<unsigned long long>(r.p99_us),
-      static_cast<unsigned long long>(r.max_us));
+      static_cast<unsigned long long>(r.max_us), solve_us, floor_rps);
   return std::string(buf);
 }
 
-std::string over_row_fields(const qp::Report& r, const qp::Config& cfg) {
-  char buf[384];
+std::string over_row_fields(const qp::Report& r, const qp::Config& cfg,
+                            double solve_us) {
+  char buf[416];
   std::snprintf(
       buf, sizeof buf,
       "\"offered\": %llu, \"completed\": %llu, \"shed\": %llu, "
       "\"deadline_missed\": %llu, \"retried\": %llu, \"degraded\": %llu, "
       "\"goodput_rps\": %.1f, \"deadline_ms\": %d, \"rate_rps\": %.1f, "
-      "\"p99_us\": %llu",
+      "\"p99_us\": %llu, \"solve_us\": %.1f",
       static_cast<unsigned long long>(r.offered),
       static_cast<unsigned long long>(r.completed),
       static_cast<unsigned long long>(r.shed),
@@ -88,7 +112,7 @@ std::string over_row_fields(const qp::Report& r, const qp::Config& cfg) {
       static_cast<unsigned long long>(r.retried),
       static_cast<unsigned long long>(r.degraded), r.goodput_rps,
       cfg.deadline_ms, cfg.arrival_rps,
-      static_cast<unsigned long long>(r.p99_us));
+      static_cast<unsigned long long>(r.p99_us), solve_us);
   return std::string(buf);
 }
 
@@ -117,6 +141,9 @@ int main() {
   std::printf("requests=%d queue=%d n=%d iters=%d threads=%d, %d reps/cell\n",
               base.requests, base.queue_depth, base.n, base.max_iters,
               threads, reps);
+  const double solve_us = median_solve_us(base);
+  std::printf("sequential solve at the request shape: %.1f us (median)\n",
+              solve_us);
 
   b::print_header("qpserver: streamed solves, enqueue→solved latency (s)");
   for (const Backend& be : kBackends) {
@@ -131,14 +158,17 @@ int main() {
       qp::Report last;
       (void)qp::run(cfg);  // warm freelists, stacks, problem caches
       auto st = b::time_runs(reps, [&] { last = qp::run(cfg); });
-      b::print_row_json(be.name, conc, st, qp_row_fields(last, cfg));
+      const double floor_rps = std::min(conc, threads) * 1e6 / solve_us;
+      b::print_row_json(be.name, conc, st,
+                        qp_row_fields(last, cfg, solve_us, floor_rps));
       std::printf(
           "    p50=%lluus p95=%lluus p99=%lluus max=%lluus  %.0f req/s "
-          "(completed=%llu, not_converged=%llu)\n",
+          "(floor %.0f; completed=%llu, not_converged=%llu)\n",
           static_cast<unsigned long long>(last.p50_us),
           static_cast<unsigned long long>(last.p95_us),
           static_cast<unsigned long long>(last.p99_us),
           static_cast<unsigned long long>(last.max_us), last.throughput_rps,
+          floor_rps,
           static_cast<unsigned long long>(last.completed),
           static_cast<unsigned long long>(last.not_converged));
       gg::finalize();
@@ -186,7 +216,7 @@ int main() {
       // not the wall time (a paced run's duration is fixed by the rate).
       auto st = b::time_runs(1, [&] { last = qp::run(ocfg); });
       b::print_row_json(kNames[mi], cfg.concurrency, st,
-                        over_row_fields(last, ocfg));
+                        over_row_fields(last, ocfg, solve_us));
       std::printf(
           "    offered=%llu completed=%llu shed=%llu missed=%llu "
           "retried=%llu degraded=%llu  goodput=%.0f req/s p99=%lluus\n",

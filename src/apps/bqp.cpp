@@ -127,17 +127,18 @@ void trsv_bwd(const double* A, double* y, int n, int t, int i) {
 
 // ---- mode-dispatched scheduling -----------------------------------------
 
-/// Reusable solver workspace: the KKT tile set and every per-iteration
-/// scratch vector the IPM rebuilds. Hoisted out of solve() so repeated
-/// solves (the abl_taskdep sweeps, latency-benchmark loops) stop paying a
-/// fresh n²+O(n) allocation train per call — after the first iteration
-/// the resize calls are no-ops and the IPM touches no allocator. Every
-/// buffer is fully rewritten where it is read (K's lower triangle + the
-/// scratch vectors), so reuse cannot change the KKT residual. This is the
-/// first step toward the Sherman–Morrison–Woodbury solve (ROADMAP), whose
-/// low-rank factors will live here too.
+/// Reusable solver workspace: every per-iteration buffer the IPM rebuilds.
+/// Hoisted out of solve() so repeated solves (qpserver requests, the
+/// abl_taskdep sweeps, latency-benchmark loops) stop paying a fresh
+/// allocation train per call — after the first iteration the resize calls
+/// are no-ops and the IPM touches no allocator. Every buffer is fully
+/// rewritten where it is read, so reuse cannot change the KKT residual.
+/// The DAG modes fill the n×n KKT tile set K; the sequential mode's
+/// Woodbury step holds only O(n + k²): the inverse barrier-augmented
+/// diagonal dinv, the k×k capacitance matrix C and its k-vector rhs w.
 struct Arena {
   std::vector<double> K, rhs, dx, hx, sr, dzl, dzu;
+  std::vector<double> dinv, C, w;
 };
 
 /// Arenas are leased from a process-wide pool for the duration of one
@@ -371,6 +372,70 @@ void apply_h(const Problem& p, const std::vector<double>& x,
   }
 }
 
+/// dx := (diag(a.dinv)⁻¹ + V·Vᵀ)⁻¹·rhs by Sherman–Morrison–Woodbury,
+/// O(n·k²) without forming the n×n KKT matrix:
+///
+///   C  = I + Vᵀ·diag(dinv)·V                (k×k, eigenvalues ≥ 1)
+///   dx = dinv∘(rhs − V·C⁻¹·Vᵀ·(dinv∘rhs))
+///
+/// C stays well conditioned however large the barrier terms grow near
+/// convergence (they only shrink dinv), so its plain Cholesky is safe; the
+/// pivot check guards the invariant anyway.
+void woodbury_step(const Problem& p, Arena& a, const std::vector<double>& rhs,
+                   std::vector<double>& dx) {
+  const int n = p.n, k = p.rank;
+  const auto uk = static_cast<std::size_t>(k);
+  std::vector<double>& C = a.C;
+  std::vector<double>& w = a.w;
+  // Lower triangle of C, and w = Vᵀ·(dinv∘rhs) with dinv∘rhs parked in dx.
+  C.assign(uk * uk, 0.0);
+  w.assign(uk, 0.0);
+  for (int i = 0; i < n; ++i) {
+    const auto ii = static_cast<std::size_t>(i);
+    const double* vi = &p.V[ii * uk];
+    const double di = a.dinv[ii];
+    dx[ii] = di * rhs[ii];
+    for (std::size_t r = 0; r < uk; ++r) {
+      const double dv = di * vi[r];
+      for (std::size_t c = 0; c <= r; ++c) C[r * uk + c] += dv * vi[c];
+      w[r] += vi[r] * dx[ii];
+    }
+  }
+  for (std::size_t r = 0; r < uk; ++r) C[r * uk + r] += 1.0;
+
+  // C = L·Lᵀ in place (lower), then w := C⁻¹·w by the two sweeps.
+  for (std::size_t j = 0; j < uk; ++j) {
+    double diag = C[j * uk + j];
+    for (std::size_t q = 0; q < j; ++q) diag -= C[j * uk + q] * C[j * uk + q];
+    GLTO_CHECK_MSG(diag > 0.0, "bqp: Woodbury capacitance lost definiteness");
+    diag = std::sqrt(diag);
+    C[j * uk + j] = diag;
+    for (std::size_t i = j + 1; i < uk; ++i) {
+      double v = C[i * uk + j];
+      for (std::size_t q = 0; q < j; ++q) v -= C[i * uk + q] * C[j * uk + q];
+      C[i * uk + j] = v / diag;
+    }
+  }
+  for (std::size_t r = 0; r < uk; ++r) {
+    double v = w[r];
+    for (std::size_t q = 0; q < r; ++q) v -= C[r * uk + q] * w[q];
+    w[r] = v / C[r * uk + r];
+  }
+  for (std::size_t r = uk; r-- > 0;) {
+    double v = w[r];
+    for (std::size_t q = r + 1; q < uk; ++q) v -= C[q * uk + r] * w[q];
+    w[r] = v / C[r * uk + r];
+  }
+
+  for (int i = 0; i < n; ++i) {
+    const auto ii = static_cast<std::size_t>(i);
+    const double* vi = &p.V[ii * uk];
+    double v = 0.0;
+    for (std::size_t r = 0; r < uk; ++r) v += vi[r] * w[r];
+    dx[ii] -= a.dinv[ii] * v;
+  }
+}
+
 }  // namespace
 
 double kkt_residual(const Problem& p, const std::vector<double>& x,
@@ -418,7 +483,13 @@ Result solve(const Problem& p, Mode mode, int max_iters, double tol,
   std::vector<double>& sr = sched.arena->sr;
   std::vector<double>& dzl = sched.arena->dzl;
   std::vector<double>& dzu = sched.arena->dzu;
-  K.resize(un * un);
+  std::vector<double>& dinv = sched.arena->dinv;
+  const bool woodbury = mode == Mode::sequential;
+  if (woodbury) {
+    dinv.resize(un);
+  } else {
+    K.resize(un * un);
+  }
   rhs.resize(un);
   dx.resize(un);
   hx.resize(un);
@@ -453,26 +524,35 @@ Result solve(const Problem& p, Mode mode, int max_iters, double tol,
     }
     const double smu = 0.1 * mu;  // fixed centering
 
-    // K = V·Vᵀ + diag(d + zl/sl + zu/su); lower triangle only.
-    for (int i = 0; i < n; ++i) {
-      const auto ii = static_cast<std::size_t>(i);
-      for (int j = 0; j <= i; ++j) {
-        double v = 0.0;
-        for (int q = 0; q < r; ++q) {
-          v += p.V[ii * static_cast<std::size_t>(r) + q] *
-               p.V[static_cast<std::size_t>(j) * r + q];
-        }
-        K[ii * un + static_cast<std::size_t>(j)] = v;
-      }
-      K[ii * un + ii] += p.d[ii] + zl[ii] / sl[ii] + zu[ii] / su[ii];
-    }
     for (int i = 0; i < n; ++i) {
       const auto ii = static_cast<std::size_t>(i);
       rhs[ii] = -rhs[ii] + (smu - sl[ii] * zl[ii]) / sl[ii] -
                 (smu - su[ii] * zu[ii]) / su[ii];
     }
 
-    factor_solve_with(sched, K.data(), dx.data(), rhs.data(), n, p.tile);
+    // Newton step on K = V·Vᵀ + diag(d + zl/sl + zu/su).
+    if (woodbury) {
+      for (int i = 0; i < n; ++i) {
+        const auto ii = static_cast<std::size_t>(i);
+        dinv[ii] = 1.0 / (p.d[ii] + zl[ii] / sl[ii] + zu[ii] / su[ii]);
+      }
+      woodbury_step(p, *sched.arena, rhs, dx);
+    } else {
+      // Lower triangle only, for the tiled Cholesky DAG.
+      for (int i = 0; i < n; ++i) {
+        const auto ii = static_cast<std::size_t>(i);
+        for (int j = 0; j <= i; ++j) {
+          double v = 0.0;
+          for (int q = 0; q < r; ++q) {
+            v += p.V[ii * static_cast<std::size_t>(r) + q] *
+                 p.V[static_cast<std::size_t>(j) * r + q];
+          }
+          K[ii * un + static_cast<std::size_t>(j)] = v;
+        }
+        K[ii * un + ii] += p.d[ii] + zl[ii] / sl[ii] + zu[ii] / su[ii];
+      }
+      factor_solve_with(sched, K.data(), dx.data(), rhs.data(), n, p.tile);
+    }
 
     double alpha = 1.0;
     for (int i = 0; i < n; ++i) {

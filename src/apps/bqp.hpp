@@ -12,17 +12,24 @@
 //     subject to lb ≤ x ≤ ub                             diagonal-plus-low-rank)
 //
 // with a primal-dual IPM whose per-iteration KKT system
-// (H + diag(z_l/s_l + z_u/s_u)) dx = r is factorized and solved by a
-// blocked Cholesky, scheduled three ways:
+// (H + diag(z_l/s_l + z_u/s_u)) dx = r is solved one of three ways:
 //
-//   sequential — plain loops, no runtime (the correctness reference)
-//   taskdep    — every tile kernel is a `depend` task; factor and both
-//                triangular sweeps form ONE DAG with no barrier anywhere
-//   taskwait   — the same kernels fenced by taskwait after each step of
-//                each sweep (what the facade forced before the dep engine)
+//   sequential — the Woodbury reference: H's diagonal-plus-low-rank
+//                shape gives dx by Sherman–Morrison–Woodbury through a
+//                k×k capacitance matrix, O(n·k²) per iteration, no
+//                runtime and no n×n matrix (what qpserver serves)
+//   taskdep    — the n×n KKT matrix factorized and solved by a blocked
+//                Cholesky in which every tile kernel is a `depend` task;
+//                factor and both triangular sweeps form ONE DAG with no
+//                barrier anywhere
+//   taskwait   — the same tiled Cholesky kernels fenced by taskwait after
+//                each step of each sweep (what the facade forced before
+//                the dep engine)
 //
-// The taskdep/taskwait modes require a selected omp runtime and create
-// their tasks from a single/producer region, the paper's §IV-D pattern.
+// The DAG modes solve the same Newton system with a different
+// factorization, so they must reproduce the sequential iterates. They
+// require a selected omp runtime and create their tasks from a
+// single/producer region, the paper's §IV-D pattern.
 #pragma once
 
 #include <cstdint>
@@ -38,7 +45,9 @@ enum class Mode { sequential, taskdep, taskwait };
 
 struct Problem {
   int n = 0;     ///< variables (multiple of tile)
-  int tile = 0;  ///< Cholesky tile size (≥ 8 so tile handles don't alias)
+  /// Cholesky tile size of the taskdep/taskwait modes (≥ 8 so tile
+  /// handles don't alias); Mode::sequential never reads it.
+  int tile = 0;
   int rank = 0;  ///< low-rank term width
   std::vector<double> d;   ///< n      — diagonal of H
   std::vector<double> V;   ///< n×rank — H = diag(d) + V Vᵀ (row-major)

@@ -214,7 +214,6 @@ Config config_from_env() {
       static_cast<int>(knob("GLTO_QPSERVER_CONCURRENCY", c.concurrency));
   c.queue_depth = static_cast<int>(knob("GLTO_QPSERVER_QUEUE", c.queue_depth));
   c.n = static_cast<int>(knob("GLTO_QPSERVER_N", c.n));
-  c.tile = static_cast<int>(knob("GLTO_QPSERVER_TILE", c.tile));
   c.rank = static_cast<int>(knob("GLTO_QPSERVER_RANK", c.rank));
   c.max_iters = static_cast<int>(knob("GLTO_QPSERVER_ITERS", c.max_iters));
   c.seed = static_cast<std::uint64_t>(knob("GLTO_QPSERVER_SEED",
@@ -232,9 +231,12 @@ Report run(const Config& cfg) {
   GLTO_CHECK_MSG(glt::initialized(), "qpserver::run requires glt::init");
   GLTO_CHECK(cfg.requests > 0 && cfg.concurrency > 0 && cfg.queue_depth > 0);
   GLTO_CHECK(cfg.deadline_ms >= 0 && cfg.retries >= 0 && cfg.backoff_us >= 0);
+  GLTO_CHECK(cfg.n >= 8);
 
+  // Workers solve in Mode::sequential, the Woodbury step, which never
+  // reads the tile size: one tile spanning the whole problem.
   const bqp::Problem problem =
-      bqp::make_problem(cfg.n, cfg.tile, cfg.rank, cfg.seed);
+      bqp::make_problem(cfg.n, cfg.n, cfg.rank, cfg.seed);
   sched::Channel<Request> chan(static_cast<std::size_t>(cfg.queue_depth));
   auto hist = std::make_unique<sched::LatencyHistogram>();
 

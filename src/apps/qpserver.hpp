@@ -25,8 +25,8 @@
 // each request landing in exactly one terminal bucket.
 //
 // Requires an initialized glt:: runtime (any backend). Knobs
-// ($GLTO_QPSERVER_*): REQUESTS, CONCURRENCY, QUEUE, N, TILE, RANK,
-// ITERS, SEED, DEADLINE_MS, RETRIES, BACKOFF_US, DEGRADE.
+// ($GLTO_QPSERVER_*): REQUESTS, CONCURRENCY, QUEUE, N, RANK, ITERS, SEED,
+// DEADLINE_MS, RETRIES, BACKOFF_US, DEGRADE.
 #pragma once
 
 #include <cstdint>
@@ -37,8 +37,7 @@ struct Config {
   int requests = 2000;    ///< total solve requests streamed
   int concurrency = 8;    ///< worker ULTs draining the channel
   int queue_depth = 64;   ///< channel capacity (backpressure bound)
-  int n = 48;             ///< QP variables (multiple of tile)
-  int tile = 16;          ///< Cholesky tile size
+  int n = 48;             ///< QP variables (≥ 8)
   int rank = 4;           ///< low-rank term width
   int max_iters = 40;     ///< IPM iteration cap per solve
   std::uint64_t seed = 42;

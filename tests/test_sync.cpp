@@ -765,7 +765,6 @@ TEST_P(SyncBackend, QpServerOverloadAccountingConserves) {
   cfg.concurrency = 4;
   cfg.queue_depth = 8;
   cfg.n = 16;
-  cfg.tile = 8;
   cfg.rank = 2;
   cfg.max_iters = 12;
   const qp::Report base = qp::run(cfg);  // closed-loop capacity probe
@@ -843,7 +842,6 @@ TEST(QpServer, SmokeCompletesEveryRequest) {
   cfg.concurrency = 4;
   cfg.queue_depth = 8;
   cfg.n = 16;
-  cfg.tile = 8;
   cfg.rank = 2;
   auto rep = glto::apps::qpserver::run(cfg);
   EXPECT_EQ(rep.completed, 64u);
