@@ -29,10 +29,10 @@
 //    glt::ult_is_done is the per-handle form of the same probe; its
 //    conformance tests live in tests/test_glt.cpp.
 //  * omp-task — kBurst omp::task spawns from a single producer on
-//    glto-abt: v2 inline-payload descriptors vs the boxed v1 path (a
-//    std::function pushed through the deprecated overload, which spills
-//    every payload). task_stats() prints the task_inline/task_alloc
-//    split, proving the inline rate.
+//    glto-abt: v2 inline-payload descriptors vs a boxed std::function
+//    callable, which spills every payload. The registry's
+//    omp.task_inline/omp.task_alloc deltas print the split, proving the
+//    inline rate.
 #include <atomic>
 #include <cstdint>
 #include <cstdio>
@@ -44,9 +44,11 @@
 #include "bench_common.hpp"
 #include "glt/glt.hpp"
 #include "sched/chaos.hpp"
+#include "sched/metrics.hpp"
 
 namespace ga = glto::abt;
 namespace gg = glto::glt;
+namespace gs = glto::sched;
 namespace b = glto::bench;
 namespace c = glto::common;
 namespace o = glto::omp;
@@ -140,6 +142,7 @@ int main() {
       cfg.num_threads = nth;
       cfg.bind_threads = false;
       gg::init(cfg);
+      gs::MetricsSnapshot base = gs::metrics_snapshot();
       auto run_glt = [&] {
         std::vector<gg::Ult*> us;
         us.reserve(static_cast<std::size_t>(burst));
@@ -153,14 +156,14 @@ int main() {
       char row[64];
       std::snprintf(row, sizeof row, "%s-ws", gg::impl_name(impl));
       b::print_row(row, nth, st);
-      const auto gs = gg::stats();
+      const auto d = gs::metrics_delta_since(base);
       std::printf(
           "    steals=%llu failed_steals=%llu stack_cache_hits=%llu "
           "parks=%llu\n",
-          static_cast<unsigned long long>(gs.steals),
-          static_cast<unsigned long long>(gs.failed_steals),
-          static_cast<unsigned long long>(gs.stack_cache_hits),
-          static_cast<unsigned long long>(gs.parks));
+          static_cast<unsigned long long>(d.value("sched.steals")),
+          static_cast<unsigned long long>(d.value("sched.failed_steals")),
+          static_cast<unsigned long long>(d.value("sched.stack_cache_hits")),
+          static_cast<unsigned long long>(d.value("sched.parks")));
       gg::finalize();
     }
   }
@@ -209,27 +212,26 @@ int main() {
   // omp::task descriptor ablation (task ABI v2): the fig14-shaped single
   // producer, kBurst tasks per run, over glto-abt. "v2" spawns tasks with
   // a capture-free callable (inline descriptor payload, freelist-recycled
-  // TaskArg — zero heap allocations after warm-up); "boxed" pushes the
-  // same work through the deprecated std::function overload, the v1 cost
-  // model (type-erased callable + spilled payload on every spawn).
+  // TaskArg — zero heap allocations after warm-up); "boxed" spawns the
+  // same work as a std::function (type-erased callable + spilled payload
+  // on every spawn).
   //
   // JSONL rows carry park/wake counter deltas so BENCH_dispatch.json can
   // attribute wins to the wakeup protocol (one targeted wake per deposit)
   // rather than container noise. The `-one` row suffix is historical: it
   // keeps the rows comparable with the frozen threshold/all wake-policy
   // rows.
-  const auto wake_kv = [](const gg::Stats& s0, const gg::Stats& s1) {
+  const auto count = [](const gs::MetricsSnapshot& d, const char* name) {
+    return static_cast<unsigned long long>(d.value(name));
+  };
+  const auto wake_kv = [&](const gs::MetricsSnapshot& d) {
     char kv[256];
-    std::snprintf(
-        kv, sizeof kv,
-        "\"parks\": %llu, \"wakes_issued\": %llu, "
-        "\"wakes_spurious\": %llu, \"bulk_deposits\": %llu",
-        static_cast<unsigned long long>(s1.parks - s0.parks),
-        static_cast<unsigned long long>(s1.wakes_issued - s0.wakes_issued),
-        static_cast<unsigned long long>(s1.wakes_spurious -
-                                        s0.wakes_spurious),
-        static_cast<unsigned long long>(s1.bulk_deposits -
-                                        s0.bulk_deposits));
+    std::snprintf(kv, sizeof kv,
+                  "\"parks\": %llu, \"wakes_issued\": %llu, "
+                  "\"wakes_spurious\": %llu, \"bulk_deposits\": %llu",
+                  count(d, "sched.parks"), count(d, "sched.wakes_issued"),
+                  count(d, "sched.wakes_spurious"),
+                  count(d, "sched.bulk_deposits"));
     return std::string(kv);
   };
 
@@ -247,26 +249,20 @@ int main() {
       });
     };
     run_v2();  // warm the record freelists
-    const auto before = o::task_stats();
-    const auto gs0 = gg::stats();
+    gs::MetricsSnapshot base = gs::metrics_snapshot();
     auto st = b::time_runs(reps, run_v2);
-    const auto gs1 = gg::stats();
-    const auto after = o::task_stats();
-    b::print_row_json("task-v2-one", nth, st, wake_kv(gs0, gs1));
+    const auto d = gs::metrics_delta_since(base);
+    b::print_row_json("task-v2-one", nth, st, wake_kv(d));
+    const unsigned long long inl = count(d, "omp.task_inline");
+    const unsigned long long alloc = count(d, "omp.task_alloc");
     std::printf(
         "    task_inline=+%llu task_alloc=+%llu (inline rate %.1f%%) "
         "parks=+%llu wakes=+%llu spurious=+%llu\n",
-        static_cast<unsigned long long>(after.task_inline -
-                                        before.task_inline),
-        static_cast<unsigned long long>(after.task_alloc - before.task_alloc),
-        100.0 * static_cast<double>(after.task_inline - before.task_inline) /
-            static_cast<double>((after.task_inline - before.task_inline) +
-                                (after.task_alloc - before.task_alloc) +
-                                1e-9),
-        static_cast<unsigned long long>(gs1.parks - gs0.parks),
-        static_cast<unsigned long long>(gs1.wakes_issued - gs0.wakes_issued),
-        static_cast<unsigned long long>(gs1.wakes_spurious -
-                                        gs0.wakes_spurious));
+        inl, alloc,
+        100.0 * static_cast<double>(inl) /
+            (static_cast<double>(inl + alloc) + 1e-9),
+        count(d, "sched.parks"), count(d, "sched.wakes_issued"),
+        count(d, "sched.wakes_spurious"));
     o::shutdown();
   }
 
@@ -288,10 +284,10 @@ int main() {
       });
     };
     run_mp();  // warm the record freelists
-    const auto gs0 = gg::stats();
+    gs::MetricsSnapshot base = gs::metrics_snapshot();
     auto st = b::time_runs(reps, run_mp);
-    const auto gs1 = gg::stats();
-    b::print_row_json("task-mp-one", nth, st, wake_kv(gs0, gs1));
+    b::print_row_json("task-mp-one", nth, st,
+                      wake_kv(gs::metrics_delta_since(base)));
     o::shutdown();
   }
 
@@ -312,10 +308,10 @@ int main() {
       });
     };
     run_tl();
-    const auto gs0 = gg::stats();
+    gs::MetricsSnapshot base = gs::metrics_snapshot();
     auto st = b::time_runs(reps, run_tl);
-    const auto gs1 = gg::stats();
-    b::print_row_json("taskloop-g64", nth, st, wake_kv(gs0, gs1));
+    b::print_row_json("taskloop-g64", nth, st,
+                      wake_kv(gs::metrics_delta_since(base)));
     o::shutdown();
   }
   // Chaos-harness overhead: the same single-producer burst with the
@@ -369,7 +365,7 @@ int main() {
     }
   }
 
-  b::print_header("omp task burst on glto-abt: boxed v1 baseline (s)");
+  b::print_header("omp task burst on glto-abt: boxed std::function (s)");
   for (int nth : b::thread_sweep()) {
     b::select_runtime(o::RuntimeKind::glto_abt, nth);
     const auto run_boxed = [&] {
@@ -379,25 +375,19 @@ int main() {
             std::function<void()> fn = [] {
               g_sink.fetch_add(1, std::memory_order_relaxed);
             };
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-            o::task(std::move(fn));  // v1 API shape, measured on purpose
-#pragma GCC diagnostic pop
+            o::task(std::move(fn));  // boxed callable, measured on purpose
           }
           o::taskwait();
         });
       });
     };
     run_boxed();
-    const auto before = o::task_stats();
+    gs::MetricsSnapshot base = gs::metrics_snapshot();
     auto st = b::time_runs(reps, run_boxed);
-    const auto after = o::task_stats();
+    const auto d = gs::metrics_delta_since(base);
     b::print_row("task-boxed", nth, st);
     std::printf("    task_inline=+%llu task_alloc=+%llu\n",
-                static_cast<unsigned long long>(after.task_inline -
-                                                before.task_inline),
-                static_cast<unsigned long long>(after.task_alloc -
-                                                before.task_alloc));
+                count(d, "omp.task_inline"), count(d, "omp.task_alloc"));
     o::shutdown();
   }
 

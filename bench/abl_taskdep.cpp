@@ -21,6 +21,7 @@
 
 #include "apps/bqp.hpp"
 #include "bench_common.hpp"
+#include "sched/metrics.hpp"
 
 namespace o = glto::omp;
 namespace b = glto::bench;
@@ -77,12 +78,12 @@ int main() {
         ++failures;
       }
       if (m.mode == q::Mode::taskdep) {
-        const o::TaskStats ts = o::task_stats();
+        const auto ms = glto::sched::metrics_snapshot();
         std::printf("    deps_registered=%llu deps_deferred=%llu "
                     "dag_ready_hits=%llu\n",
-                    static_cast<unsigned long long>(ts.deps_registered),
-                    static_cast<unsigned long long>(ts.deps_deferred),
-                    static_cast<unsigned long long>(ts.dag_ready_hits));
+                    static_cast<unsigned long long>(ms.value("deps.registered")),
+                    static_cast<unsigned long long>(ms.value("deps.deferred")),
+                    static_cast<unsigned long long>(ms.value("deps.ready_hits")));
       }
       o::shutdown();
     }

@@ -15,7 +15,7 @@
 
 #include "apps/cg.hpp"
 #include "bench_common.hpp"
-#include "glt/glt.hpp"
+#include "sched/metrics.hpp"
 
 namespace g = glto::apps::cg;
 namespace o = glto::omp;
@@ -67,13 +67,15 @@ int main() {
         b::select_runtime(kind, nth, /*active_wait=*/false);
         auto& rt = o::runtime();
         rt.reset_counters();
+        glto::sched::MetricsSnapshot base = glto::sched::metrics_snapshot();
         std::vector<double> x;
         (void)g::solve_tasks(a, rhs, x, iters, 0.0, gran);
-        const auto gs = glto::glt::stats();
-        std::printf(" %7llu/%-7llu%6llu",
-                    static_cast<unsigned long long>(gs.steals),
-                    static_cast<unsigned long long>(gs.failed_steals),
-                    static_cast<unsigned long long>(gs.stack_cache_hits));
+        const auto d = glto::sched::metrics_delta_since(base);
+        std::printf(
+            " %7llu/%-7llu%6llu",
+            static_cast<unsigned long long>(d.value("sched.steals")),
+            static_cast<unsigned long long>(d.value("sched.failed_steals")),
+            static_cast<unsigned long long>(d.value("sched.stack_cache_hits")));
         o::shutdown();
       }
       std::printf("\n");

@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "omp/omp.hpp"
+#include "sched/metrics.hpp"
 
 namespace o = glto::omp;
 
@@ -45,10 +46,11 @@ int main() {
       o::taskwait();
     });
   });
-  const auto ts = o::task_stats();
+  const auto ms = glto::sched::metrics_snapshot();
   std::printf("tasks executed: %d (descriptors inline=%llu spilled=%llu)\n",
-              done.load(), static_cast<unsigned long long>(ts.task_inline),
-              static_cast<unsigned long long>(ts.task_alloc));
+              done.load(),
+              static_cast<unsigned long long>(ms.value("omp.task_inline")),
+              static_cast<unsigned long long>(ms.value("omp.task_alloc")));
 
   // 3b. A value-returning task: omp::future<T> carries the result (and
   //     any exception) back to the creator.

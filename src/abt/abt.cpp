@@ -81,7 +81,8 @@ struct Runtime {
   std::atomic<std::uint64_t> ults_created{0};
   std::atomic<std::uint64_t> tasklets_created{0};
   std::atomic<std::uint64_t> yields{0};
-  std::uint64_t stack_hits_at_init = 0;
+  std::uint64_t metrics_token = 0;
+  common::SavedMask caller_mask;  ///< init's caller, restored at finalize
 };
 
 Runtime* g_rt = nullptr;
@@ -250,7 +251,7 @@ void sched_loop() {
 void worker_main(int rank) {
   tls.rank = rank;
   tls.sched_stack = fctx::os_thread_stack();  // sched_loop runs right here
-  if (g_rt->cfg.bind_threads) common::bind_self_to_core(rank);
+  common::place_self(rank, g_rt->cfg.bind_threads);
   sched::trace_thread_label("abt", rank);
   sched_loop();
 }
@@ -336,6 +337,16 @@ void dump_core_state(void* arg) {
   static_cast<sched::WsCore<WorkUnit*>*>(arg)->dump_state("abt");
 }
 
+/// Registry provider for the xstream-specific counters (the core and the
+/// stack pool publish their own).
+void publish_metrics(void* arg, sched::MetricsSnapshot& out) {
+  const auto* rt = static_cast<const Runtime*>(arg);
+  out.add("abt.ults_created", rt->ults_created.load(std::memory_order_relaxed));
+  out.add("abt.tasklets_created",
+          rt->tasklets_created.load(std::memory_order_relaxed));
+  out.add("abt.yields", rt->yields.load(std::memory_order_relaxed));
+}
+
 // ------------------------------------------------- sched::SuspendOps bridge
 
 bool ops_can_suspend() {
@@ -379,6 +390,7 @@ void init(const Config& cfg_in) {
   sched::metrics_init_from_env();
   g_rt = new Runtime();
   g_rt->cfg = cfg_in;
+  g_rt->caller_mask = common::save_self_mask();
   g_rt->cfg.num_xstreams =
       common::env_worker_count("ABT_NUM_XSTREAMS", cfg_in.num_xstreams);
   g_rt->n = g_rt->cfg.num_xstreams;
@@ -389,7 +401,7 @@ void init(const Config& cfg_in) {
   g_rt->free = std::make_unique<sched::Freelist<WorkUnit>>(g_rt->n);
   g_rt->watchdog_token =
       sched::watchdog_register_dumper(dump_core_state, g_rt->core.get());
-  g_rt->stack_hits_at_init = fctx::StackPool::global().cache_hits();
+  g_rt->metrics_token = sched::metrics_register_provider(publish_metrics, g_rt);
   // The caller becomes the primary ULT on xstream 0.
   tls.rank = 0;
   tls.sched_ctx = nullptr;
@@ -401,7 +413,7 @@ void init(const Config& cfg_in) {
   main_unit->state.store(State::Running, std::memory_order_relaxed);
   tls.main_unit = main_unit;
   tls.current = main_unit;
-  if (g_rt->cfg.bind_threads) common::bind_self_to_core(0);
+  common::place_self(0, g_rt->cfg.bind_threads);
   sched::register_suspend_ops(&kSuspendOps);
   for (int r = 1; r < g_rt->n; ++r) {
     g_rt->workers.emplace_back(worker_main, r);
@@ -414,9 +426,11 @@ void finalize() {
                  "finalize must run on the primary ULT");
   sched::unregister_suspend_ops(&kSuspendOps);
   sched::watchdog_unregister_dumper(g_rt->watchdog_token);
+  sched::metrics_unregister_provider(g_rt->metrics_token);
   g_rt->core->request_shutdown();
   for (auto& w : g_rt->workers) w.join();
   fctx::StackPool::global().release(g_rt->primary_sched_stack);
+  common::restore_self_mask(g_rt->caller_mask);
   delete tls.main_unit;
   tls = Tls{};
   delete g_rt;  // Freelist dtor frees all recycled WorkUnits
@@ -521,19 +535,6 @@ void set_self_local(void* p) {
   } else {
     g_foreign_local = p;
   }
-}
-
-Stats stats() {
-  Stats s;
-  if (g_rt != nullptr) {
-    s.ults_created = g_rt->ults_created.load(std::memory_order_relaxed);
-    s.tasklets_created = g_rt->tasklets_created.load(std::memory_order_relaxed);
-    s.yields = g_rt->yields.load(std::memory_order_relaxed);
-    s.assign_core(g_rt->core->stats());
-    s.stack_cache_hits =
-        fctx::StackPool::global().cache_hits() - g_rt->stack_hits_at_init;
-  }
-  return s;
 }
 
 }  // namespace glto::abt

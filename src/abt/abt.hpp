@@ -28,8 +28,6 @@
 
 #include <cstdint>
 
-#include "sched/metrics.hpp"
-
 namespace glto::abt {
 
 using WorkFn = void (*)(void*);
@@ -37,7 +35,9 @@ using WorkFn = void (*)(void*);
 struct Config {
   int num_xstreams = 0;      ///< 0 → $ABT_NUM_XSTREAMS or hardware threads
   bool shared_pool = false;  ///< one pool shared by all xstreams
-  bool bind_threads = true;  ///< pin xstream i to core i (best-effort)
+  /// Pin xstream i to core i (best-effort); false still starts each
+  /// xstream on its own CPU of the inherited mask (common::place_self).
+  bool bind_threads = true;
 };
 
 /// Opaque handle to a ULT or tasklet.
@@ -108,16 +108,8 @@ void yield();
 [[nodiscard]] void* self_local();
 void set_self_local(void* p);
 
-/// Scheduler-behaviour counters live in the shared sched::StatsSnapshot
-/// base (every backend runs the same WsCore); only xstream-specific
-/// counters are declared here.
-struct Stats : sched::StatsSnapshot {
-  std::uint64_t ults_created = 0;
-  std::uint64_t tasklets_created = 0;
-  std::uint64_t yields = 0;
-};
-
-/// Snapshot of global counters since init().
-[[nodiscard]] Stats stats();
+// Counters (abt.ults_created, abt.tasklets_created, abt.yields, and the
+// core's sched.*) are published to sched::metrics_snapshot() while the
+// runtime is up; docs/API.md lists every registry name.
 
 }  // namespace glto::abt

@@ -11,6 +11,7 @@
 #include "common/debug.hpp"
 #include "common/spin.hpp"
 #include "common/thread_safety.hpp"
+#include "sched/metrics.hpp"
 
 namespace glto::fctx {
 
@@ -171,8 +172,18 @@ std::uint64_t StackPool::cache_hits() const {
 }
 
 StackPool& StackPool::global() {
-  static StackPool* pool =  // immortal: ULTs may outlive main
-      new StackPool(kDefaultStackSize, /*per_thread_cache=*/true);
+  static StackPool* pool = [] {  // immortal: ULTs may outlive main
+    auto* p = new StackPool(kDefaultStackSize, /*per_thread_cache=*/true);
+    // Process-wide and monotonic across runtime instances: registry
+    // readers take deltas.
+    (void)sched::metrics_register_provider(
+        [](void* arg, sched::MetricsSnapshot& out) {
+          out.add("sched.stack_cache_hits",
+                  static_cast<const StackPool*>(arg)->cache_hits());
+        },
+        p);
+    return p;
+  }();
   return *pool;
 }
 

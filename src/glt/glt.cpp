@@ -24,20 +24,15 @@ struct GltState {
 
 GltState* g_state = nullptr;
 
-/// Metrics provider: publish the live backend's counters as named entries
-/// (registered for the lifetime of the glt instance).
-void glt_metrics_provider(void* /*arg*/, sched::MetricsSnapshot& out) {
-  const Stats s = stats();
-  out.add("glt.ults_created", s.ults_created);
-  out.add("glt.tasklets_created", s.tasklets_created);
-  out.add("sched.steals", s.steals);
-  out.add("sched.failed_steals", s.failed_steals);
-  out.add("sched.stack_cache_hits", s.stack_cache_hits);
-  out.add("sched.parks", s.parks);
-  out.add("sched.parked_us", s.parked_us);
-  out.add("sched.wakes_issued", s.wakes_issued);
-  out.add("sched.wakes_spurious", s.wakes_spurious);
-  out.add("sched.bulk_deposits", s.bulk_deposits);
+/// Metrics provider for the facade's own counters (registered for the
+/// lifetime of the glt instance). The backend's scheduler core, the
+/// backend itself and the stack pool publish theirs directly.
+void glt_metrics_provider(void* arg, sched::MetricsSnapshot& out) {
+  const auto* st = static_cast<const GltState*>(arg);
+  out.add("glt.ults_created",
+          st->ults_created.load(std::memory_order_relaxed));
+  out.add("glt.tasklets_created",
+          st->tasklets_created.load(std::memory_order_relaxed));
   // Blocking-primitive traffic (sched/sync.hpp): contexts parked on wait
   // lists, and parked ULTs handed straight back to a worker deque.
   out.add("sched.suspensions", sched::suspensions());
@@ -103,7 +98,7 @@ void init(const Config& cfg) {
   g_state = new GltState();
   g_state->cfg = cfg;
   g_state->metrics_token =
-      sched::metrics_register_provider(glt_metrics_provider, nullptr);
+      sched::metrics_register_provider(glt_metrics_provider, g_state);
   switch (cfg.impl) {
     case Impl::abt: {
       abt::Config c;
@@ -382,32 +377,5 @@ void set_self_local(void* p) {
 bool supports_stealing() { return g_state->cfg.impl == Impl::mth; }
 
 bool supports_native_tasklets() { return g_state->cfg.impl == Impl::abt; }
-
-Stats stats() {
-  Stats s;
-  if (g_state != nullptr) {
-    s.ults_created = g_state->ults_created.load(std::memory_order_relaxed);
-    s.tasklets_created =
-        g_state->tasklets_created.load(std::memory_order_relaxed);
-    // All three backends dispatch through the shared sched::WsCore, so
-    // the scheduler-behaviour counters are uniformly meaningful — table3
-    // and abl_glt_dispatch sweep GLT_IMPL and compare them directly.
-    // Every backend Stats inherits sched::StatsSnapshot: one slice
-    // assignment replaces the old per-backend field-by-field copies.
-    sched::StatsSnapshot& base = s;
-    switch (g_state->cfg.impl) {
-      case Impl::abt:
-        base = abt::stats();
-        break;
-      case Impl::mth:
-        base = mth::stats();
-        break;
-      case Impl::qth:
-        base = qth::stats();
-        break;
-    }
-  }
-  return s;
-}
 
 }  // namespace glto::glt

@@ -123,17 +123,9 @@ void yield();
 [[nodiscard]] void* self_local();
 void set_self_local(void* p);
 
-/// Scheduler behaviour (Table III-style runs) lives in the shared
-/// sched::StatsSnapshot base: every backend runs the same sched::WsCore,
-/// so all base counters are populated for abt, qth, and mth alike (steals
-/// are zero with one thread), and glt::stats() copies the whole block with
-/// one slice assignment instead of field by field.
-struct Stats : sched::StatsSnapshot {
-  std::uint64_t ults_created = 0;     ///< Table II "Created GLT_ults"
-  std::uint64_t tasklets_created = 0;
-};
-
-[[nodiscard]] Stats stats();
+// Counters (Table II "Created GLT_ults" is glt.ults_created; Table III
+// scheduler behaviour is the sched.* block every backend's core publishes)
+// are read from sched::metrics_snapshot(); docs/API.md lists every name.
 
 // ---- GLT synchronization conformance layer -------------------------------
 //

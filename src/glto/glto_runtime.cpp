@@ -27,6 +27,11 @@ using omp::Schedule;
 
 constexpr int kLoopRing = 8;  ///< concurrent nowait loop descriptors per team
 
+/// GLT_ults created since glt::init (Table II), read from the registry.
+std::uint64_t glt_ults_created() {
+  return sched::metrics_snapshot().value("glt.ults_created");
+}
+
 /// One work-sharing loop instance shared by a team.
 struct LoopDesc {
   std::int64_t lo = 0;
@@ -189,7 +194,7 @@ class GltoRuntime final : public omp::Runtime {
     // master; GLTO disables main-context migration.
     gcfg.pin_main = opts.impl == glt::Impl::mth;
     glt::init(gcfg);
-    ults_at_reset_ = glt::stats().ults_created;
+    ults_at_reset_ = glt_ults_created();
 
     root_team_.size = 1;
     root_team_.level = 0;
@@ -577,12 +582,6 @@ class GltoRuntime final : public omp::Runtime {
                                common::now_ns() + timeout_us * 1000);
   }
 
-  omp::TaskStats task_stats() override {
-    omp::TaskStats s;
-    static_cast<taskdep::Stats&>(s) = dep_engine_.stats();
-    return s;
-  }
-
   void taskyield() override { glt::yield(); }
 
   void yield_hint() override { glt::yield(); }
@@ -593,14 +592,14 @@ class GltoRuntime final : public omp::Runtime {
     omp::Counters out;
     out.os_threads_created =
         static_cast<std::uint64_t>(glt::num_threads());
-    out.ults_created = glt::stats().ults_created - ults_at_reset_;
+    out.ults_created = glt_ults_created() - ults_at_reset_;
     out.tasks_queued = tasks_queued_.load(std::memory_order_relaxed);
     out.tasks_immediate = tasks_immediate_.load(std::memory_order_relaxed);
     return out;
   }
 
   void reset_counters() override {
-    ults_at_reset_ = glt::stats().ults_created;
+    ults_at_reset_ = glt_ults_created();
     tasks_queued_.store(0, std::memory_order_relaxed);
     tasks_immediate_.store(0, std::memory_order_relaxed);
   }

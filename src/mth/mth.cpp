@@ -93,8 +93,9 @@ struct Runtime {
 
   std::atomic<std::uint64_t> strands_created{0};
   std::atomic<std::uint64_t> main_migrations{0};
-  std::uint64_t stack_hits_at_init = 0;
   std::uint64_t watchdog_token = 0;
+  std::uint64_t metrics_token = 0;
+  common::SavedMask caller_mask;  ///< init's caller, restored at finalize
 };
 
 Runtime* g_rt = nullptr;
@@ -282,7 +283,7 @@ void worker_main(int rank) {
   // base_loop runs right here, on this worker's native pthread stack.
   g_rt->workers[static_cast<std::size_t>(rank)].base_region =
       fctx::os_thread_stack();
-  if (g_rt->cfg.bind_threads) common::bind_self_to_core(rank);
+  common::place_self(rank, g_rt->cfg.bind_threads);
   sched::trace_thread_label("mth", rank);
   base_loop();
 }
@@ -354,6 +355,16 @@ void dump_core_state(void* arg) {
   static_cast<sched::WsCore<Strand*>*>(arg)->dump_state("mth");
 }
 
+/// Registry provider for the MassiveThreads-specific counters (the core
+/// and the stack pool publish their own).
+void publish_metrics(void* arg, sched::MetricsSnapshot& out) {
+  const auto* rt = static_cast<const Runtime*>(arg);
+  out.add("mth.strands_created",
+          rt->strands_created.load(std::memory_order_relaxed));
+  out.add("mth.main_migrations",
+          rt->main_migrations.load(std::memory_order_relaxed));
+}
+
 // ------------------------------------------------- sched::SuspendOps bridge
 
 bool ops_can_suspend() { return g_rt != nullptr && tls.current != nullptr; }
@@ -396,6 +407,7 @@ void init(const Config& cfg_in) {
   sched::metrics_init_from_env();
   g_rt = new Runtime();
   g_rt->cfg = cfg_in;
+  g_rt->caller_mask = common::save_self_mask();
   g_rt->cfg.num_workers =
       common::env_worker_count("MTH_NUM_WORKERS", cfg_in.num_workers);
   g_rt->n = g_rt->cfg.num_workers;
@@ -408,7 +420,7 @@ void init(const Config& cfg_in) {
   g_rt->free = std::make_unique<sched::Freelist<Strand>>(g_rt->n);
   g_rt->watchdog_token =
       sched::watchdog_register_dumper(dump_core_state, g_rt->core.get());
-  g_rt->stack_hits_at_init = fctx::StackPool::global().cache_hits();
+  g_rt->metrics_token = sched::metrics_register_provider(publish_metrics, g_rt);
   tls.rank = 0;
   tls.tick = 0;
   tls.rng = common::FastRng(0x8BADF00D);
@@ -416,7 +428,7 @@ void init(const Config& cfg_in) {
   main_strand->kind = Kind::Main;
   main_strand->stack_region = fctx::os_thread_stack();
   tls.current = main_strand;
-  if (g_rt->cfg.bind_threads) common::bind_self_to_core(0);
+  common::place_self(0, g_rt->cfg.bind_threads);
   sched::register_suspend_ops(&kSuspendOps);
   for (int r = 1; r < g_rt->n; ++r) {
     g_rt->threads.emplace_back(worker_main, r);
@@ -437,9 +449,11 @@ void finalize() {
   }
   sched::unregister_suspend_ops(&kSuspendOps);
   sched::watchdog_unregister_dumper(g_rt->watchdog_token);
+  sched::metrics_unregister_provider(g_rt->metrics_token);
   g_rt->core->request_shutdown();
   for (auto& th : g_rt->threads) th.join();
   fctx::StackPool::global().release(g_rt->workers[0].base_stack);
+  common::restore_self_mask(g_rt->caller_mask);
   delete self;
   tls = Tls{};
   delete g_rt;  // Freelist dtor frees all recycled Strand records
@@ -545,19 +559,6 @@ void set_self_local(void* p) {
   } else {
     g_foreign_local = p;
   }
-}
-
-Stats stats() {
-  Stats s;
-  if (g_rt != nullptr) {
-    s.strands_created = g_rt->strands_created.load(std::memory_order_relaxed);
-    s.main_migrations =
-        g_rt->main_migrations.load(std::memory_order_relaxed);
-    s.assign_core(g_rt->core->stats());
-    s.stack_cache_hits =
-        fctx::StackPool::global().cache_hits() - g_rt->stack_hits_at_init;
-  }
-  return s;
 }
 
 }  // namespace glto::mth

@@ -21,8 +21,6 @@
 
 #include <cstdint>
 
-#include "sched/metrics.hpp"
-
 namespace glto::mth {
 
 using WorkFn = void (*)(void*);
@@ -83,14 +81,9 @@ void yield();
 [[nodiscard]] void* self_local();
 void set_self_local(void* p);
 
-/// Shared-core scheduler behaviour (steals = successful continuation
-/// steals) lives in the sched::StatsSnapshot base, parity with abt/qth;
-/// MassiveThreads-specific counters here.
-struct Stats : sched::StatsSnapshot {
-  std::uint64_t strands_created = 0;
-  std::uint64_t main_migrations = 0;  ///< times main resumed off worker 0
-};
-
-[[nodiscard]] Stats stats();
+// Counters (mth.strands_created, mth.main_migrations — times main resumed
+// off worker 0 — and the core's sched.*) are published to
+// sched::metrics_snapshot() while the runtime is up; docs/API.md lists
+// every registry name.
 
 }  // namespace glto::mth

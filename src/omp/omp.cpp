@@ -40,7 +40,7 @@ struct SpillSlab {
 /// rank: a single process-wide atomic would put a contended RMW on the
 /// very task-spawn path this ABI makes allocation-free. Threads beyond
 /// kRecordPoolWorkers share slots (still correct, relaxed adds); sums
-/// are taken in task_inline_count()/task_alloc_count().
+/// are taken only when a registry snapshot is.
 struct alignas(common::kCacheLine) PlacementSlot {
   std::atomic<std::uint64_t> inline_count{0};
   std::atomic<std::uint64_t> alloc_count{0};
@@ -98,21 +98,22 @@ void note_task_alloc() {
   placement_slot().alloc_count.fetch_add(1, std::memory_order_relaxed);
 }
 
-std::uint64_t task_inline_count() {
-  std::uint64_t sum = 0;
+namespace {
+
+/// Registry provider for the placement split: process-wide and monotonic
+/// (descriptor construction happens in the facade, above any one
+/// runtime), so readers take deltas.
+void publish_placement(void* /*arg*/, sched::MetricsSnapshot& out) {
+  std::uint64_t inl = 0, alloc = 0;
   for (const PlacementSlot& s : g_placement) {
-    sum += s.inline_count.load(std::memory_order_relaxed);
+    inl += s.inline_count.load(std::memory_order_relaxed);
+    alloc += s.alloc_count.load(std::memory_order_relaxed);
   }
-  return sum;
+  out.add("omp.task_inline", inl);
+  out.add("omp.task_alloc", alloc);
 }
 
-std::uint64_t task_alloc_count() {
-  std::uint64_t sum = 0;
-  for (const PlacementSlot& s : g_placement) {
-    sum += s.alloc_count.load(std::memory_order_relaxed);
-  }
-  return sum;
-}
+}  // namespace
 
 }  // namespace detail
 
@@ -159,6 +160,8 @@ void select(RuntimeKind kind, const SelectOptions& opts) {
   sched::watchdog_init_from_env();
   sched::trace_init_from_env();
   sched::metrics_init_from_env();
+  static const std::uint64_t placement_token [[maybe_unused]] =
+      sched::metrics_register_provider(detail::publish_placement, nullptr);
   switch (kind) {
     case RuntimeKind::gnu:
     case RuntimeKind::intel: {
@@ -268,14 +271,6 @@ void resolve_schedule(Schedule* sched, std::int64_t* chunk) {
 
 void barrier() { runtime().barrier(); }
 
-void task(std::function<void()> fn) {
-  runtime().task(TaskDesc::make(std::move(fn)), {});
-}
-
-void task(std::function<void()> fn, const TaskFlags& flags) {
-  runtime().task(TaskDesc::make(std::move(fn)), flags);
-}
-
 void task_bulk(TaskDesc* descs, std::size_t n, const TaskFlags& flags) {
   runtime().task_bulk(descs, n, flags);
 }
@@ -290,14 +285,6 @@ bool cancellation_point() { return runtime().cancellation_requested(); }
 
 bool taskwait_for(std::chrono::microseconds timeout) {
   return runtime().taskwait_for_us(timeout.count());
-}
-
-TaskStats task_stats() {
-  TaskStats s;
-  static_cast<taskdep::Stats&>(s) = runtime().task_stats();
-  s.task_inline = detail::task_inline_count();
-  s.task_alloc = detail::task_alloc_count();
-  return s;
 }
 
 // ---- queries ----------------------------------------------------------------
@@ -337,32 +324,6 @@ void sections(const Section* blocks, std::size_t count) {
     rt.single_done();
   }
   rt.barrier();
-}
-
-void sections(const std::vector<std::function<void()>>& blocks) {
-  std::vector<Section> descs;
-  descs.reserve(blocks.size());
-  for (const auto& b : blocks) descs.push_back(section_of(b));
-  sections(descs.data(), descs.size());
-}
-
-// ---- deprecated v1 loop wrappers --------------------------------------------
-
-void for_loop(std::int64_t lo, std::int64_t hi, Schedule sched,
-              std::int64_t chunk,
-              const std::function<void(std::int64_t, std::int64_t)>& body) {
-  loop(lo, hi, LoopOpts{sched, chunk, 0}, body);
-}
-
-void parallel_for(std::int64_t lo, std::int64_t hi,
-                  const std::function<void(std::int64_t)>& body) {
-  par_for(lo, hi, body);
-}
-
-void parallel_for_ranges(
-    std::int64_t lo, std::int64_t hi, Schedule sched, std::int64_t chunk,
-    const std::function<void(std::int64_t, std::int64_t)>& body) {
-  par_for(lo, hi, LoopOpts{sched, chunk, 0}, body);
 }
 
 // ---- locks ------------------------------------------------------------------

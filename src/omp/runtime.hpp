@@ -71,15 +71,6 @@ struct TaskFlags {
   taskdep::DepList depend;
 };
 
-/// Dependency-engine counters plus descriptor-placement counters (the
-/// inline-payload rate of the v2 task ABI). Basis for abl_taskdep and the
-/// abl_glt_dispatch omp-task cells; dep fields are zero for a runtime
-/// that saw no depend clauses.
-struct TaskStats : taskdep::Stats {
-  std::uint64_t task_inline = 0;  ///< descriptors whose capture fit inline
-  std::uint64_t task_alloc = 0;   ///< descriptors that spilled to slab/heap
-};
-
 /// Counters every runtime maintains; basis for Tables II and III.
 struct Counters {
   std::uint64_t os_threads_created = 0;  ///< pthreads / GLT_threads spawned
@@ -199,12 +190,6 @@ class Runtime {
     taskgroup_end();
     return true;
   }
-
-  /// Dependency-engine counters (deps registered/deferred, DAG wake-ups).
-  /// The descriptor-placement counters are filled in by the facade's
-  /// omp::task_stats() — they live in the descriptor layer, above any
-  /// single runtime.
-  [[nodiscard]] virtual TaskStats task_stats() { return {}; }
 
   /// Polite wait hint while spinning on user-level synchronization (omp
   /// locks): GLTO yields the ULT; pthread runtimes yield the OS thread.

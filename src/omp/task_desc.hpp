@@ -9,12 +9,13 @@
 // trivially-copyable capture of up to kInlineBytes is stored in place and
 // the whole descriptor moves by memcpy — task creation performs **zero
 // heap allocations**. Captures that don't fit (or aren't trivially
-// copyable, e.g. a boxed std::function from the deprecated v1 overloads)
-// spill to a fixed-size slab recycled through a sched::Freelist; only
-// captures larger than a slab fall back to operator new.
+// copyable, e.g. a std::function passed to omp::task) spill to a
+// fixed-size slab recycled through a sched::Freelist; only captures larger
+// than a slab fall back to operator new.
 //
-// omp::task_stats() reports the split as task_inline / task_alloc — the
-// inline-payload rate the dispatch ablation (abl_glt_dispatch) prints.
+// The metrics registry counts the split as omp.task_inline /
+// omp.task_alloc — the inline-payload rate the dispatch ablation
+// (abl_glt_dispatch) prints.
 #pragma once
 
 #include <cstddef>
@@ -38,8 +39,6 @@ inline constexpr std::size_t kSpillSlabBytes = 256;
 void spill_free(void* p, std::size_t bytes);
 void note_task_inline();
 void note_task_alloc();
-[[nodiscard]] std::uint64_t task_inline_count();
-[[nodiscard]] std::uint64_t task_alloc_count();
 
 }  // namespace detail
 

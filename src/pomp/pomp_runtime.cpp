@@ -604,12 +604,6 @@ class PompRuntime : public omp::Runtime {
     return tg_cancelled(t_ctx->group);
   }
 
-  omp::TaskStats task_stats() override {
-    omp::TaskStats s;
-    static_cast<taskdep::Stats&>(s) = dep_engine_.stats();
-    return s;
-  }
-
   void taskyield() override {
     // Tied pthread tasks cannot migrate; the best a baseline can do is run
     // another queued task in place (GOMP/Intel behave the same way).
@@ -846,7 +840,7 @@ class PompRuntime : public omp::Runtime {
     }
     if (!w) {
       w = std::make_unique<Worker>();
-      w->bind_rank = bind_ ? bind_rank : -1;
+      w->bind_rank = bind_rank;
       threads_created_.fetch_add(1, std::memory_order_relaxed);
       Worker* wp = w.get();
       PompRuntime* rt = this;
@@ -861,7 +855,7 @@ class PompRuntime : public omp::Runtime {
   }
 
   void worker_loop(Worker* w) {
-    if (w->bind_rank >= 0) common::bind_self_to_core(w->bind_rank);
+    common::place_self(w->bind_rank, bind_);
     for (;;) {
       Assignment* a = nullptr;
       {

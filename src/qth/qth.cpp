@@ -98,7 +98,8 @@ struct Runtime {
   std::atomic<std::uint64_t> threads_created{0};
   std::atomic<std::uint64_t> feb_ops{0};
   std::atomic<std::uint64_t> feb_blocks{0};
-  std::uint64_t stack_hits_at_init = 0;
+  std::uint64_t metrics_token = 0;
+  common::SavedMask caller_mask;  ///< init's caller, restored at finalize
 };
 
 Runtime* g_rt = nullptr;
@@ -351,7 +352,7 @@ void sched_loop() {
 void worker_main(int rank) {
   tls.rank = rank;
   tls.sched_stack = fctx::os_thread_stack();  // sched_loop runs right here
-  if (g_rt->cfg.bind_threads) common::bind_self_to_core(rank);
+  common::place_self(rank, g_rt->cfg.bind_threads);
   sched::trace_thread_label("qth", rank);
   sched_loop();
 }
@@ -408,6 +409,16 @@ void dump_core_state(void* arg) {
   static_cast<sched::WsCore<Thread*>*>(arg)->dump_state("qth");
 }
 
+/// Registry provider for the qthreads-specific counters (the core and the
+/// stack pool publish their own).
+void publish_metrics(void* arg, sched::MetricsSnapshot& out) {
+  const auto* rt = static_cast<const Runtime*>(arg);
+  out.add("qth.threads_created",
+          rt->threads_created.load(std::memory_order_relaxed));
+  out.add("qth.feb_ops", rt->feb_ops.load(std::memory_order_relaxed));
+  out.add("qth.feb_blocks", rt->feb_blocks.load(std::memory_order_relaxed));
+}
+
 // ------------------------------------------------- sched::SuspendOps bridge
 
 bool ops_can_suspend() { return g_rt != nullptr && tls.current != nullptr; }
@@ -439,6 +450,7 @@ void init(const Config& cfg_in) {
   sched::metrics_init_from_env();
   g_rt = new Runtime();
   g_rt->cfg = cfg_in;
+  g_rt->caller_mask = common::save_self_mask();
   g_rt->cfg.num_shepherds =
       common::env_worker_count("QTH_NUM_SHEPHERDS", cfg_in.num_shepherds);
   g_rt->n = g_rt->cfg.num_shepherds;
@@ -449,7 +461,7 @@ void init(const Config& cfg_in) {
   g_rt->free = std::make_unique<sched::Freelist<Thread>>(g_rt->n);
   g_rt->watchdog_token =
       sched::watchdog_register_dumper(dump_core_state, g_rt->core.get());
-  g_rt->stack_hits_at_init = fctx::StackPool::global().cache_hits();
+  g_rt->metrics_token = sched::metrics_register_provider(publish_metrics, g_rt);
   tls.rank = 0;
   tls.sched_ctx = nullptr;
   auto* main_th = new Thread();
@@ -459,7 +471,7 @@ void init(const Config& cfg_in) {
   main_th->pinned = true;
   tls.main_thread = main_th;
   tls.current = main_th;
-  if (g_rt->cfg.bind_threads) common::bind_self_to_core(0);
+  common::place_self(0, g_rt->cfg.bind_threads);
   sched::register_suspend_ops(&kSuspendOps);
   for (int r = 1; r < g_rt->n; ++r) {
     g_rt->workers.emplace_back(worker_main, r);
@@ -472,9 +484,11 @@ void finalize() {
                  "finalize must run on the main context");
   sched::unregister_suspend_ops(&kSuspendOps);
   sched::watchdog_unregister_dumper(g_rt->watchdog_token);
+  sched::metrics_unregister_provider(g_rt->metrics_token);
   g_rt->core->request_shutdown();
   for (auto& w : g_rt->workers) w.join();
   fctx::StackPool::global().release(g_rt->primary_sched_stack);
+  common::restore_self_mask(g_rt->caller_mask);
   delete tls.main_thread;
   tls = Tls{};
   delete g_rt;  // Freelist dtor frees all recycled Thread records
@@ -653,19 +667,6 @@ void set_self_local(void* p) {
   } else {
     g_foreign_local = p;
   }
-}
-
-Stats stats() {
-  Stats s;
-  if (g_rt != nullptr) {
-    s.threads_created = g_rt->threads_created.load(std::memory_order_relaxed);
-    s.feb_ops = g_rt->feb_ops.load(std::memory_order_relaxed);
-    s.feb_blocks = g_rt->feb_blocks.load(std::memory_order_relaxed);
-    s.assign_core(g_rt->core->stats());
-    s.stack_cache_hits =
-        fctx::StackPool::global().cache_hits() - g_rt->stack_hits_at_init;
-  }
-  return s;
 }
 
 struct Sinc {

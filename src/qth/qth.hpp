@@ -26,8 +26,6 @@
 
 #include <cstdint>
 
-#include "sched/metrics.hpp"
-
 namespace glto::qth {
 
 /// The only word size FEB operations apply to (Qthreads' aligned_t).
@@ -128,14 +126,8 @@ void sinc_wait(Sinc* s);
 /// Destroys the sinc (must be complete or unused).
 void sinc_destroy(Sinc* s);
 
-/// Shared-core scheduler behaviour lives in the sched::StatsSnapshot base
-/// (steals are zero with a single shep); qthreads-specific counters here.
-struct Stats : sched::StatsSnapshot {
-  std::uint64_t threads_created = 0;
-  std::uint64_t feb_ops = 0;        ///< lock-table acquisitions
-  std::uint64_t feb_blocks = 0;     ///< times a qthread suspended on a FEB
-};
-
-[[nodiscard]] Stats stats();
+// Counters (qth.threads_created, qth.feb_ops, qth.feb_blocks, and the
+// core's sched.*) are published to sched::metrics_snapshot() while the
+// runtime is up; docs/API.md lists every registry name.
 
 }  // namespace glto::qth

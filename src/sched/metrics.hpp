@@ -1,12 +1,6 @@
 // Unified metrics registry + latency profiling hooks.
 //
-// Three layers, all cheap-by-default:
-//
-//  * sched::StatsSnapshot — the one shared-scheduler counter block every
-//    backend used to hand-copy field by field. abt/qth/mth/glt Stats now
-//    inherit it, so a snapshot is a single slice assignment. The counters
-//    behind it stay cache-line-sharded per worker (WsCore::Counters); this
-//    header only names the aggregated view.
+// Two layers, both cheap-by-default:
 //
 //  * Latency histograms — per-task submit→start (queue delay) and
 //    start→complete (service time), log2 octaves with 8 linear sub-buckets
@@ -14,10 +8,13 @@
 //    implicitly whenever tracing is on; off, each hook is one relaxed load
 //    and a predictable branch (the same contract as trace_emit).
 //
-//  * MetricsSnapshot / providers — named counters and gauges pulled from
-//    every live subsystem (backend stats, dep engines, chaos, trace rings,
-//    histograms) through registered provider callbacks, with delta-since-
-//    baseline for bench rows and the watchdog dump.
+//  * MetricsSnapshot / providers — the one counter surface: named
+//    counters and gauges pulled from every live subsystem (scheduler
+//    cores, backends, the stack pool, dep engines, the omp facade, chaos,
+//    trace rings, histograms) through registered provider callbacks, with
+//    delta-since-baseline for bench rows and the watchdog dump. Each
+//    subsystem keeps its own relaxed atomics; they are read only when a
+//    snapshot is taken. docs/API.md lists every name.
 #pragma once
 
 #include <atomic>
@@ -28,34 +25,6 @@
 #include <vector>
 
 namespace glto::sched {
-
-/// Scheduler-behaviour counters common to every backend (steals are zero
-/// with one thread). Backend Stats structs inherit this so
-/// glt::stats() copies the block once instead of field by field.
-struct StatsSnapshot {
-  std::uint64_t steals = 0;           ///< units taken from another worker
-  std::uint64_t failed_steals = 0;    ///< empty / lost-race steal attempts
-  std::uint64_t stack_cache_hits = 0; ///< ULT stacks served lock-free
-  std::uint64_t parks = 0;            ///< idle parks (adaptive 200µs–2ms)
-  std::uint64_t parked_us = 0;        ///< total requested park time, µs
-  std::uint64_t wakes_issued = 0;     ///< targeted unparks sent to workers
-  std::uint64_t wakes_spurious = 0;   ///< parks woken but found no work
-  std::uint64_t bulk_deposits = 0;    ///< submit_bulk batches published
-
-  /// Copy the core-owned fields from a WsCoreStats (template so this
-  /// header stays independent of ws_core.hpp). stack_cache_hits is owned
-  /// by the stack pool, not the core — callers fill it separately.
-  template <typename CoreStats>
-  void assign_core(const CoreStats& cs) {
-    steals = cs.steals;
-    failed_steals = cs.failed_steals;
-    parks = cs.parks;
-    parked_us = cs.parked_us;
-    wakes_issued = cs.wakes_issued;
-    wakes_spurious = cs.wakes_spurious;
-    bulk_deposits = cs.bulk_deposits;
-  }
-};
 
 /// Log2-octave histogram with 8 linear sub-buckets per octave.
 /// record() is wait-free (two relaxed fetch_adds + a CAS-free max update

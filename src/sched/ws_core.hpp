@@ -54,6 +54,7 @@
 #include "common/parker.hpp"
 #include "common/rng.hpp"
 #include "sched/chase_lev.hpp"
+#include "sched/metrics.hpp"
 #include "sched/overflow_queue.hpp"
 #include "sched/trace.hpp"
 #include "sched/watchdog.hpp"
@@ -65,16 +66,6 @@ struct WsCoreConfig {
   bool shared_pool = false;  ///< one pool for all workers (§IV-F ablation)
   std::size_t deque_capacity = 256;
   std::size_t fair_capacity = 1024;
-};
-
-struct WsCoreStats {
-  std::uint64_t steals = 0;          ///< units taken from another worker
-  std::uint64_t failed_steals = 0;   ///< empty / lost-race steal attempts
-  std::uint64_t parks = 0;           ///< idle parks (adaptive 200µs–2ms)
-  std::uint64_t parked_us = 0;       ///< total requested park time, µs
-  std::uint64_t wakes_issued = 0;    ///< targeted unparks sent to workers
-  std::uint64_t wakes_spurious = 0;  ///< parks woken but found no work
-  std::uint64_t bulk_deposits = 0;   ///< submit_bulk batches published
 };
 
 /// Adaptive idle parking: the first park is short (work often arrives
@@ -125,7 +116,10 @@ class WsCore {
       pools_.push_back(std::make_unique<Pool>(cfg.deque_capacity,
                                               cfg.fair_capacity));
     }
+    metrics_token_ = metrics_register_provider(publish_metrics, this);
   }
+
+  ~WsCore() { metrics_unregister_provider(metrics_token_); }
 
   WsCore(const WsCore&) = delete;
   WsCore& operator=(const WsCore&) = delete;
@@ -439,20 +433,6 @@ class WsCore {
     return false;
   }
 
-  [[nodiscard]] WsCoreStats stats() const {
-    WsCoreStats s;
-    for (const Counters& c : counters_) {
-      s.steals += c.steals.load(std::memory_order_relaxed);
-      s.failed_steals += c.failed_steals.load(std::memory_order_relaxed);
-      s.parks += c.parks.load(std::memory_order_relaxed);
-      s.parked_us += c.parked_us.load(std::memory_order_relaxed);
-      s.wakes_spurious += c.wakes_spurious.load(std::memory_order_relaxed);
-    }
-    s.wakes_issued = wakes_issued_.load(std::memory_order_relaxed);
-    s.bulk_deposits = bulk_deposits_.load(std::memory_order_relaxed);
-    return s;
-  }
-
   /// Whether @p rank currently advertises itself in the idle mask (set
   /// just before its final pre-park probe, cleared when it wakes with
   /// work). Racy by nature — for diagnostics and tests that want to poke
@@ -541,6 +521,30 @@ class WsCore {
   }
   const Pool& pool_for(int rank) const {
     return *pools_[shared_ ? 0 : static_cast<std::size_t>(rank)];
+  }
+
+  /// Registry provider: the core's counters under their sched.* names.
+  /// Live cores of one name add up, so a snapshot reads the process total.
+  static void publish_metrics(void* arg, MetricsSnapshot& out) {
+    const auto* self = static_cast<const WsCore*>(arg);
+    std::uint64_t steals = 0, failed = 0, parks = 0, parked_us = 0,
+                  spurious = 0;
+    for (const Counters& c : self->counters_) {
+      steals += c.steals.load(std::memory_order_relaxed);
+      failed += c.failed_steals.load(std::memory_order_relaxed);
+      parks += c.parks.load(std::memory_order_relaxed);
+      parked_us += c.parked_us.load(std::memory_order_relaxed);
+      spurious += c.wakes_spurious.load(std::memory_order_relaxed);
+    }
+    out.add("sched.steals", steals);
+    out.add("sched.failed_steals", failed);
+    out.add("sched.parks", parks);
+    out.add("sched.parked_us", parked_us);
+    out.add("sched.wakes_issued",
+            self->wakes_issued_.load(std::memory_order_relaxed));
+    out.add("sched.wakes_spurious", spurious);
+    out.add("sched.bulk_deposits",
+            self->bulk_deposits_.load(std::memory_order_relaxed));
   }
 
   // ------------------------------------------------------ idle-mask wakes
@@ -674,6 +678,7 @@ class WsCore {
   alignas(common::kCacheLine) std::atomic<std::uint64_t> wakes_issued_{0};
   std::atomic<std::uint64_t> bulk_deposits_{0};
   std::atomic<bool> shutdown_{false};
+  std::uint64_t metrics_token_ = 0;  ///< registry handle (ctor → dtor)
 };
 
 }  // namespace glto::sched

@@ -1,8 +1,7 @@
 // taskdep/dep.hpp — the dependency-clause vocabulary, and nothing else.
 //
 // This is the only taskdep header the public omp facade needs: TaskFlags
-// carries a list of Dep clauses and task_stats() returns Stats. Keeping
-// these PODs free of engine internals (hash table, spinlocks, atomics)
+// carries a list of Dep clauses. Keeping these PODs free of engine internals (hash table, spinlocks, atomics)
 // means omp.hpp consumers never couple to the engine; the engine itself
 // lives in taskdep.hpp.
 #pragma once
@@ -26,13 +25,6 @@ struct Dep {
   const void* addr = nullptr;
   std::size_t size = 0;
   DepKind kind = DepKind::inout;
-};
-
-struct Stats {
-  std::uint64_t deps_registered = 0;  ///< depend clauses processed
-  std::uint64_t deps_deferred = 0;    ///< tasks parked on unmet predecessors
-  std::uint64_t dag_ready_hits = 0;   ///< wake-ups: deferred task released
-                                      ///< by its final completing predecessor
 };
 
 /// Small-vector of Dep clauses with inline storage for the common case

@@ -85,10 +85,13 @@ DepEngine::DepEngine(ReadyFn on_ready, int hash_bits) : on_ready_(on_ready) {
   // same-named counters by addition (runtimes may hold several engines).
   metrics_token_ = sched::metrics_register_provider(
       [](void* arg, sched::MetricsSnapshot& out) {
-        const auto s = static_cast<DepEngine*>(arg)->stats();
-        out.add("deps.registered", s.deps_registered);
-        out.add("deps.deferred", s.deps_deferred);
-        out.add("deps.ready_hits", s.dag_ready_hits);
+        const auto* e = static_cast<const DepEngine*>(arg);
+        out.add("deps.registered",
+                e->deps_registered_.load(std::memory_order_relaxed));
+        out.add("deps.deferred",
+                e->deps_deferred_.load(std::memory_order_relaxed));
+        out.add("deps.ready_hits",
+                e->dag_ready_hits_.load(std::memory_order_relaxed));
       },
       this);
 }
@@ -278,14 +281,6 @@ void DepEngine::complete(TaskNode* node) {
   }
   for (TaskNode* s : succs) unref(s);
   unref(node);  // the creator's reference
-}
-
-Stats DepEngine::stats() const {
-  Stats s;
-  s.deps_registered = deps_registered_.load(std::memory_order_relaxed);
-  s.deps_deferred = deps_deferred_.load(std::memory_order_relaxed);
-  s.dag_ready_hits = dag_ready_hits_.load(std::memory_order_relaxed);
-  return s;
 }
 
 }  // namespace glto::taskdep

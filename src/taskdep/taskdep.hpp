@@ -106,8 +106,6 @@ class DepEngine {
   /// that feeds ready tasks straight to the caller's scheduler queue).
   void complete(TaskNode* node);
 
-  [[nodiscard]] Stats stats() const;
-
   [[nodiscard]] int hash_bits() const { return hash_bits_; }
 
  private:
@@ -125,9 +123,11 @@ class DepEngine {
   /// Serializes submit() (see the cycle note there); complete() is free.
   common::SpinLock submit_lock_;
 
-  std::atomic<std::uint64_t> deps_registered_{0};
-  std::atomic<std::uint64_t> deps_deferred_{0};
-  std::atomic<std::uint64_t> dag_ready_hits_{0};
+  // Published as deps.registered / deps.deferred / deps.ready_hits.
+  std::atomic<std::uint64_t> deps_registered_{0};  ///< clauses processed
+  std::atomic<std::uint64_t> deps_deferred_{0};  ///< parked on predecessors
+  std::atomic<std::uint64_t> dag_ready_hits_{0};  ///< released by the last
+                                                  ///< completing predecessor
   std::uint64_t metrics_token_ = 0;  ///< registry handle (ctor → dtor)
 };
 

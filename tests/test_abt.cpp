@@ -5,10 +5,16 @@
 #include <vector>
 
 #include "abt/abt.hpp"
+#include "sched/metrics.hpp"
 
 namespace ga = glto::abt;
+namespace gs = glto::sched;
 
 namespace {
+
+std::uint64_t metric(std::string_view name) {
+  return gs::metrics_snapshot().value(name);
+}
 
 /// RAII runtime for a test body.
 struct AbtScope {
@@ -94,7 +100,7 @@ TEST(Abt, TaskletRunsWithoutStack) {
       [](void* p) { static_cast<std::atomic<int>*>(p)->store(7); }, &x);
   ga::join(t);
   EXPECT_EQ(x.load(), 7);
-  EXPECT_GE(ga::stats().tasklets_created, 1u);
+  EXPECT_GE(metric("abt.tasklets_created"), 1u);
 }
 
 TEST(Abt, YieldInterleavesUltsOnOneXstream) {
@@ -196,15 +202,15 @@ TEST(Abt, SharedPoolExecutesEverything) {
 
 TEST(Abt, StatsCountCreations) {
   AbtScope s(1);
-  const auto before = ga::stats();
+  gs::MetricsSnapshot base = gs::metrics_snapshot();
   std::atomic<int> x{0};
   auto* a = ga::ult_create([](void* p) { static_cast<std::atomic<int>*>(p)->fetch_add(1); }, &x);
   auto* b = ga::tasklet_create([](void* p) { static_cast<std::atomic<int>*>(p)->fetch_add(1); }, &x);
   ga::join(a);
   ga::join(b);
-  const auto after = ga::stats();
-  EXPECT_EQ(after.ults_created, before.ults_created + 1);
-  EXPECT_EQ(after.tasklets_created, before.tasklets_created + 1);
+  const auto d = gs::metrics_delta_since(base);
+  EXPECT_EQ(d.value("abt.ults_created"), 1u);
+  EXPECT_EQ(d.value("abt.tasklets_created"), 1u);
 }
 
 TEST(Abt, ReinitAfterFinalize) {
@@ -285,7 +291,7 @@ TEST(AbtSteal, IdleXstreamStealsUnpinnedWork) {
   }
   EXPECT_EQ(ran_on.load(), 1) << "unit must have been stolen by xstream 1";
   EXPECT_EQ(ga::executed_on(u), 1);
-  EXPECT_GE(ga::stats().steals, 1u);
+  EXPECT_GE(metric("sched.steals"), 1u);
   ga::join(u);
 }
 
@@ -369,9 +375,9 @@ TEST(AbtSteal, StackCacheHitsCountRecycledStacks) {
   std::atomic<int> x{0};
   auto bump = [](void* p) { static_cast<std::atomic<int>*>(p)->fetch_add(1); };
   ga::join(ga::ult_create(bump, &x));
-  const auto hits_before = ga::stats().stack_cache_hits;
+  const auto hits_before = metric("sched.stack_cache_hits");
   ga::join(ga::ult_create(bump, &x));
-  EXPECT_GE(ga::stats().stack_cache_hits, hits_before + 1)
+  EXPECT_GE(metric("sched.stack_cache_hits"), hits_before + 1)
       << "recycled ULT stack must be served from the per-thread cache";
   EXPECT_EQ(x.load(), 2);
 }

@@ -11,6 +11,7 @@
 
 #include "apps/bqp.hpp"
 #include "omp/omp.hpp"
+#include "sched/metrics.hpp"
 
 namespace o = glto::omp;
 namespace q = glto::apps::bqp;
@@ -91,8 +92,7 @@ TEST_P(BqpSched, TaskdepCholeskyMatchesSequential) {
   q::factor_solve_inplace(Af.data(), x.data(), b.data(), 64, 16,
                           q::Mode::taskdep);
   EXPECT_LT(q::residual_inf(A, x, b, 64), 1e-8);
-  const o::TaskStats st = o::task_stats();
-  EXPECT_GT(st.deps_registered, 0u);
+  EXPECT_GT(glto::sched::metrics_snapshot().value("deps.registered"), 0u);
 }
 
 TEST_P(BqpSched, DagScheduledSolveMatchesSequential) {

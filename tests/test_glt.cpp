@@ -4,6 +4,8 @@
 // runs unmodified over any backend with identical *results* (performance
 // may differ). Every test here therefore runs 3×: abt, qth, mth.
 #include <gtest/gtest.h>
+#include <pthread.h>
+#include <sched.h>
 
 #include <atomic>
 #include <string>
@@ -13,6 +15,7 @@
 #include "glt/glt.hpp"
 
 namespace gg = glto::glt;
+namespace gs = glto::sched;
 
 class GltBackend : public ::testing::TestWithParam<gg::Impl> {
  protected:
@@ -71,7 +74,7 @@ TEST_P(GltBackend, UltCreateBulkRunsEveryUnit) {
       EXPECT_EQ(count.load(), n) << "spread=" << spread << " n=" << n;
     }
   }
-  EXPECT_GT(gg::stats().bulk_deposits, 0u)
+  EXPECT_GT(gs::metrics_snapshot().value("sched.bulk_deposits"), 0u)
       << "bulk creates must go through the core's bulk-deposit path";
 }
 
@@ -216,7 +219,7 @@ TEST_P(GltBackend, UltsCanYieldAndFinish) {
 }
 
 TEST_P(GltBackend, StatsTrackCreations) {
-  const auto before = gg::stats();
+  gs::MetricsSnapshot base = gs::metrics_snapshot();
   std::atomic<int> x{0};
   auto* u = gg::ult_create(
       [](void* p) { static_cast<std::atomic<int>*>(p)->fetch_add(1); }, &x);
@@ -224,9 +227,9 @@ TEST_P(GltBackend, StatsTrackCreations) {
       [](void* p) { static_cast<std::atomic<int>*>(p)->fetch_add(1); }, &x);
   gg::ult_join(u);
   gg::tasklet_join(t);
-  const auto after = gg::stats();
-  EXPECT_EQ(after.ults_created, before.ults_created + 1);
-  EXPECT_EQ(after.tasklets_created, before.tasklets_created + 1);
+  const auto d = gs::metrics_delta_since(base);
+  EXPECT_EQ(d.value("glt.ults_created"), 1u);
+  EXPECT_EQ(d.value("glt.tasklets_created"), 1u);
 }
 
 TEST_P(GltBackend, CapabilitiesMatchBackend) {
@@ -352,6 +355,130 @@ TEST_P(GltSharedQueues, TaskletsRunToo) {
 }
 
 INSTANTIATE_TEST_SUITE_P(AllBackends, GltSharedQueues,
+                         ::testing::Values(gg::Impl::abt, gg::Impl::qth,
+                                           gg::Impl::mth),
+                         [](const ::testing::TestParamInfo<gg::Impl>& info) {
+                           return gg::impl_name(info.param);
+                         });
+
+// Worker placement: affinity-mask invariants only, no timing. An unbound
+// runtime may move its threads once at start but must hand every thread
+// back the mask it inherited, and finalize must leave the caller as init
+// found it (a pinned caller would start every later runtime's workers
+// inside one CPU).
+namespace {
+
+cpu_set_t self_mask() {
+  cpu_set_t s;
+  CPU_ZERO(&s);
+  (void)pthread_getaffinity_np(pthread_self(), sizeof(s), &s);
+  return s;
+}
+
+bool mask_eq(const cpu_set_t& a, const cpu_set_t& b) {
+  return CPU_EQUAL(&a, &b) != 0;
+}
+
+}  // namespace
+
+class GltAffinity : public ::testing::TestWithParam<gg::Impl> {
+ protected:
+  static constexpr int kThreads = 4;
+
+  void SetUp() override {
+    original_ = self_mask();
+    if (CPU_COUNT(&original_) < 2) GTEST_SKIP() << "needs two CPUs";
+  }
+  void TearDown() override {
+    if (gg::initialized()) gg::finalize();
+    (void)pthread_setaffinity_np(pthread_self(), sizeof(original_),
+                                 &original_);
+  }
+
+  void init(bool bind) {
+    gg::Config cfg;
+    cfg.impl = GetParam();
+    cfg.num_threads = kThreads;
+    cfg.bind_threads = bind;
+    gg::init(cfg);
+  }
+
+  /// The mask each rank's OS thread holds, read by a ULT created on that
+  /// rank (mth has no placement: its probes run wherever work-first and
+  /// stealing put them, still one mask per running thread).
+  static std::vector<cpu_set_t> probe_ranks() {
+    struct Probe {
+      cpu_set_t mask;
+      int rank = -1;
+    };
+    std::vector<Probe> probes(kThreads);
+    std::vector<gg::Ult*> us;
+    for (int r = 0; r < kThreads; ++r) {
+      us.push_back(gg::ult_create_to(
+          r,
+          [](void* p) {
+            auto* pr = static_cast<Probe*>(p);
+            pr->mask = self_mask();
+            pr->rank = gg::thread_num();
+          },
+          &probes[static_cast<std::size_t>(r)]));
+    }
+    for (auto* u : us) gg::ult_join(u);
+    std::vector<cpu_set_t> masks;
+    for (int r = 0; r < kThreads; ++r) {
+      const Probe& pr = probes[static_cast<std::size_t>(r)];
+      if (!gg::supports_stealing()) {
+        EXPECT_EQ(pr.rank, r);
+      }
+      masks.push_back(pr.mask);
+    }
+    return masks;
+  }
+
+  cpu_set_t original_;
+};
+
+TEST_P(GltAffinity, FinalizeRestoresCallerMask) {
+  for (const bool bind : {false, true}) {
+    const cpu_set_t before = self_mask();
+    init(bind);
+    (void)probe_ranks();
+    gg::finalize();
+    EXPECT_TRUE(mask_eq(self_mask(), before)) << "bind_threads=" << bind;
+  }
+}
+
+TEST_P(GltAffinity, UnboundWorkersKeepInheritedMask) {
+  init(/*bind=*/false);
+  for (const cpu_set_t& m : probe_ranks()) {
+    EXPECT_TRUE(mask_eq(m, original_));
+  }
+}
+
+TEST_P(GltAffinity, UnboundWorkersStayInsideRestrictedMask) {
+  // Drop the lowest CPU: ranks 0 and (kThreads mod count) would otherwise
+  // land on it, and a mask widened to 0..ncpu-1 would include it again.
+  cpu_set_t subset = original_;
+  for (int cpu = 0; cpu < CPU_SETSIZE; ++cpu) {
+    if (CPU_ISSET(cpu, &subset)) {
+      CPU_CLR(cpu, &subset);
+      break;
+    }
+  }
+  ASSERT_EQ(pthread_setaffinity_np(pthread_self(), sizeof(subset), &subset),
+            0);
+  init(/*bind=*/false);
+  for (const cpu_set_t& m : probe_ranks()) {
+    cpu_set_t inside;
+    CPU_AND(&inside, &m, &subset);
+    EXPECT_TRUE(mask_eq(inside, m)) << "worker mask escaped the subset";
+    EXPECT_TRUE(mask_eq(m, subset));
+  }
+  gg::finalize();
+  EXPECT_TRUE(mask_eq(self_mask(), subset));
+}
+
+INSTANTIATE_TEST_SUITE_P(AllBackends, GltAffinity,
                          ::testing::Values(gg::Impl::abt, gg::Impl::qth,
                                            gg::Impl::mth),
                          [](const ::testing::TestParamInfo<gg::Impl>& info) {

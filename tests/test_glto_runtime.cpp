@@ -7,8 +7,10 @@
 
 #include "glt/glt.hpp"
 #include "omp/omp.hpp"
+#include "sched/metrics.hpp"
 
 namespace o = glto::omp;
+namespace gs = glto::sched;
 
 namespace {
 
@@ -103,7 +105,7 @@ TEST(GltoTasks, NonProducerTasksStayLocalOnAbt) {
   // the placement itself wrong.
   select_glto(o::RuntimeKind::glto_abt, 3);
   std::atomic<int> off_thread{0};
-  const auto steals_before = glto::glt::stats().steals;
+  gs::MetricsSnapshot base = gs::metrics_snapshot();
   o::parallel([&](int tid, int) {
     if (tid == 0) return;  // master's ctx is in_master: dispatch differs
     for (int i = 0; i < 5; ++i) {
@@ -113,7 +115,7 @@ TEST(GltoTasks, NonProducerTasksStayLocalOnAbt) {
     }
     o::taskwait();
   });
-  const auto steals = glto::glt::stats().steals - steals_before;
+  const auto steals = gs::metrics_delta_since(base).value("sched.steals");
   EXPECT_LE(static_cast<std::uint64_t>(off_thread.load()), steals)
       << "an off-thread task run that no steal explains";
   o::shutdown();

@@ -8,10 +8,16 @@
 #include <vector>
 
 #include "mth/mth.hpp"
+#include "sched/metrics.hpp"
 
 namespace gm = glto::mth;
+namespace gs = glto::sched;
 
 namespace {
+
+std::uint64_t metric(std::string_view name) {
+  return gs::metrics_snapshot().value(name);
+}
 
 struct MthScope {
   explicit MthScope(int n, bool pin_main = false) {
@@ -109,7 +115,7 @@ TEST(Mth, StealsHappenWithMultipleWorkers) {
       },
       nullptr);
   // We are the stolen continuation.
-  EXPECT_GT(gm::stats().steals, 0u)
+  EXPECT_GT(metric("sched.steals"), 0u)
       << "random work stealing is on by default in mth";
   stop.store(true, std::memory_order_release);
   gm::join(c);
@@ -130,7 +136,7 @@ TEST(Mth, MainContinuationIsStealableByDefault) {
       nullptr);
   EXPECT_NE(gm::worker_rank(), 0)
       << "main must have been stolen off worker 0";
-  EXPECT_GT(gm::stats().main_migrations, 0u);
+  EXPECT_GT(metric("mth.main_migrations"), 0u);
   stop.store(true, std::memory_order_release);
   gm::join(c);
 }
@@ -146,7 +152,7 @@ TEST(Mth, PinMainKeepsMainOnWorkerZero) {
     EXPECT_EQ(gm::worker_rank(), 0) << "pinned main must stay on worker 0";
   }
   EXPECT_EQ(sink.load(), 100);
-  EXPECT_EQ(gm::stats().main_migrations, 0u);
+  EXPECT_EQ(metric("mth.main_migrations"), 0u);
 }
 
 TEST(Mth, StrandsObserveMigration) {
@@ -270,6 +276,7 @@ TEST(Mth, StrandRecordsAreRecycled) {
   MthScope s(1);
   // After a first batch seeds the freelist, later spawns reuse records and
   // stacks — observable through per-thread stack-cache hits.
+  gs::MetricsSnapshot base = gs::metrics_snapshot();
   for (int round = 0; round < 3; ++round) {
     std::atomic<int> count{0};
     std::vector<gm::Strand*> ss;
@@ -281,9 +288,9 @@ TEST(Mth, StrandRecordsAreRecycled) {
     for (auto* c : ss) gm::join(c);
     ASSERT_EQ(count.load(), 64);
   }
-  const auto st = gm::stats();
-  EXPECT_EQ(st.strands_created, 3u * 64u);
-  EXPECT_GT(st.stack_cache_hits, 0u)
+  const auto d = gs::metrics_delta_since(base);
+  EXPECT_EQ(d.value("mth.strands_created"), 3u * 64u);
+  EXPECT_GT(d.value("sched.stack_cache_hits"), 0u)
       << "recycled strands must hit the per-thread stack cache";
 }
 

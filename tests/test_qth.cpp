@@ -7,8 +7,10 @@
 #include <vector>
 
 #include "qth/qth.hpp"
+#include "sched/metrics.hpp"
 
 namespace gq = glto::qth;
+namespace gs = glto::sched;
 using gq::aligned_t;
 
 namespace {
@@ -258,14 +260,14 @@ TEST(Qth, YieldInterleavesOnOneShepherd) {
 
 TEST(Qth, StatsCountFebTraffic) {
   QthScope s(1);
-  const auto before = gq::stats();
+  gs::MetricsSnapshot base = gs::metrics_snapshot();
   aligned_t ret = 0;
   gq::fork([](void*) -> aligned_t { return 0; }, nullptr, &ret);
   aligned_t sink;
   gq::readFF(&sink, &ret);
-  const auto after = gq::stats();
-  EXPECT_EQ(after.threads_created, before.threads_created + 1);
-  EXPECT_GT(after.feb_ops, before.feb_ops)
+  const auto d = gs::metrics_delta_since(base);
+  EXPECT_EQ(d.value("qth.threads_created"), 1u);
+  EXPECT_GT(d.value("qth.feb_ops"), 0u)
       << "every fork/join must go through the word-lock table";
 }
 
@@ -288,7 +290,7 @@ TEST(Qth, StealsRescueWorkFromBusyShepherd) {
       nullptr, &ret);
   while (ran_on.load() < 0) std::this_thread::yield();
   EXPECT_NE(ran_on.load(), 0) << "a thief shepherd must have run it";
-  EXPECT_GT(gq::stats().steals, 0u);
+  EXPECT_GT(gs::metrics_snapshot().value("sched.steals"), 0u);
   aligned_t sink = 0;
   gq::readFF(&sink, &ret);
 }
@@ -323,6 +325,7 @@ TEST(Qth, ThreadRecordsAreRecycled) {
   // second batch allocates no fresh thread records (created counter grows,
   // reuse keeps the record set stable — observable via steady completion).
   constexpr int kBatch = 64;
+  gs::MetricsSnapshot base = gs::metrics_snapshot();
   for (int round = 0; round < 3; ++round) {
     std::vector<aligned_t> rets(kBatch, 0);
     for (int i = 0; i < kBatch; ++i) {
@@ -332,9 +335,9 @@ TEST(Qth, ThreadRecordsAreRecycled) {
     aligned_t sink = 0;
     for (auto& r : rets) gq::readFF(&sink, &r);
   }
-  const auto st = gq::stats();
-  EXPECT_EQ(st.threads_created, 3u * kBatch);
-  EXPECT_GT(st.stack_cache_hits, 0u)
+  const auto d = gs::metrics_delta_since(base);
+  EXPECT_EQ(d.value("qth.threads_created"), 3u * kBatch);
+  EXPECT_GT(d.value("sched.stack_cache_hits"), 0u)
       << "recycled qthreads must hit the per-thread stack cache";
 }
 

@@ -1,13 +1,14 @@
 // Task ABI v2: omp::TaskDesc placement (inline vs spill), value-returning
 // omp::future<T> (results, exceptions, wait ordering), grain-controlled
-// par_for/loop, and the deprecated v1 compatibility wrappers — swept
-// across all five runtimes (gnu/intel pthreads and glto over abt/qth/mth;
+// par_for/loop, and bulk-deposit accounting — swept across all five
+// runtimes (gnu/intel pthreads and glto over abt/qth/mth;
 // the CI backend-parity job re-runs the glto rows under each $GLT_IMPL).
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
 #include <cstring>
+#include <functional>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -15,8 +16,10 @@
 #include "glt/glt.hpp"
 #include "omp/omp.hpp"
 #include "sched/chaos.hpp"
+#include "sched/metrics.hpp"
 
 namespace o = glto::omp;
+namespace gs = glto::sched;
 
 class TaskV2 : public ::testing::TestWithParam<o::RuntimeKind> {
  protected:
@@ -34,7 +37,7 @@ class TaskV2 : public ::testing::TestWithParam<o::RuntimeKind> {
 
 TEST_P(TaskV2, SmallCaptureStaysInlineZeroAllocs) {
   std::atomic<int> ran{0};
-  const auto before = o::task_stats();
+  gs::MetricsSnapshot base = gs::metrics_snapshot();
   o::parallel([&](int, int) {
     o::single([&] {
       for (int i = 0; i < 64; ++i) {
@@ -43,10 +46,10 @@ TEST_P(TaskV2, SmallCaptureStaysInlineZeroAllocs) {
       o::taskwait();
     });
   });
-  const auto after = o::task_stats();
+  const auto d = gs::metrics_delta_since(base);
   EXPECT_EQ(ran.load(), 64);
-  EXPECT_EQ(after.task_inline - before.task_inline, 64u);
-  EXPECT_EQ(after.task_alloc - before.task_alloc, 0u)
+  EXPECT_EQ(d.value("omp.task_inline"), 64u);
+  EXPECT_EQ(d.value("omp.task_alloc"), 0u)
       << "captures <= inline capacity must not allocate";
 }
 
@@ -57,7 +60,7 @@ TEST_P(TaskV2, OversizedCaptureSpillsAndStillRuns) {
   Big big{};
   for (int i = 0; i < 16; ++i) big.vals[i] = i + 1;
   std::atomic<std::int64_t> sum{0};
-  const auto before = o::task_stats();
+  gs::MetricsSnapshot base = gs::metrics_snapshot();
   o::parallel([&](int, int) {
     o::single([&] {
       o::task([&sum, big] {
@@ -68,9 +71,8 @@ TEST_P(TaskV2, OversizedCaptureSpillsAndStillRuns) {
       o::taskwait();
     });
   });
-  const auto after = o::task_stats();
   EXPECT_EQ(sum.load(), 16 * 17 / 2);
-  EXPECT_GE(after.task_alloc - before.task_alloc, 1u)
+  EXPECT_GE(gs::metrics_delta_since(base).value("omp.task_alloc"), 1u)
       << "a 128-byte capture must spill";
 }
 
@@ -102,25 +104,23 @@ TEST_P(TaskV2, FirstprivateArgsAreDecayCopied) {
   EXPECT_EQ(sum.load(), 2 * 8 * 9 / 2);
 }
 
-TEST_P(TaskV2, DeprecatedStdFunctionOverloadStillWorks) {
+TEST_P(TaskV2, StdFunctionCallableSpills) {
+  // A std::function is just another callable to task(F&&), but it is not
+  // trivially copyable, so its descriptor payload spills.
   std::atomic<int> ran{0};
-  const auto before = o::task_stats();
+  gs::MetricsSnapshot base = gs::metrics_snapshot();
   o::parallel([&](int, int) {
     o::single([&] {
       std::function<void()> fn = [&ran] { ran.fetch_add(1); };
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
       o::task(fn);
       o::TaskFlags flags;
       o::task(fn, flags);
-#pragma GCC diagnostic pop
       o::taskwait();
     });
   });
-  const auto after = o::task_stats();
   EXPECT_EQ(ran.load(), 2);
-  EXPECT_GE(after.task_alloc - before.task_alloc, 2u)
-      << "boxed std::function payloads spill (the v1 cost model)";
+  EXPECT_GE(gs::metrics_delta_since(base).value("omp.task_alloc"), 2u)
+      << "boxed std::function payloads spill";
 }
 
 // ---- omp::future<T> ---------------------------------------------------------
@@ -369,28 +369,6 @@ TEST_P(TaskV2, LoopInsideParallelGuidedCoversRange) {
   for (auto& h : hits) EXPECT_EQ(h.load(), 1);
 }
 
-TEST_P(TaskV2, DeprecatedLoopWrappersStillCover) {
-  constexpr std::int64_t kN = 60;
-  std::vector<std::atomic<int>> hits(kN);
-  std::atomic<std::int64_t> sum{0};
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-  o::parallel_for(0, kN, [&](std::int64_t i) {
-    hits[static_cast<std::size_t>(i)].fetch_add(1);
-  });
-  o::parallel_for_ranges(0, kN, o::Schedule::Dynamic, 5,
-                         [&](std::int64_t b, std::int64_t e) {
-                           sum.fetch_add(e - b);
-                         });
-  o::parallel([&](int, int) {
-    o::for_loop(0, kN, o::Schedule::Static, 0,
-                [&](std::int64_t b, std::int64_t e) { sum.fetch_add(e - b); });
-  });
-#pragma GCC diagnostic pop
-  for (auto& h : hits) EXPECT_EQ(h.load(), 1);
-  EXPECT_EQ(sum.load(), 2 * kN);
-}
-
 INSTANTIATE_TEST_SUITE_P(
     AllRuntimes, TaskV2,
     ::testing::Values(o::RuntimeKind::gnu, o::RuntimeKind::intel,
@@ -441,11 +419,10 @@ TEST_P(TaskBulkGlto, TaskloopGrainChunksArriveAsOneBulkDeposit) {
   };
   run();  // warm the record freelists
   sum.store(0);
-  const auto before = glto::glt::stats();
+  gs::MetricsSnapshot base = gs::metrics_snapshot();
   run();
-  const auto after = glto::glt::stats();
   EXPECT_EQ(sum.load(), 256 * 255 / 2);
-  EXPECT_EQ(after.bulk_deposits - before.bulk_deposits, 1u)
+  EXPECT_EQ(gs::metrics_delta_since(base).value("sched.bulk_deposits"), 1u)
       << "64 grain chunks must cross the core as exactly one bulk deposit";
 }
 
@@ -465,11 +442,10 @@ TEST_P(TaskBulkGlto, SectionsBlocksArriveAsOneBulkDeposit) {
     o::parallel([&](int, int) { o::sections(secs.data(), secs.size()); });
   };
   run();
-  const auto before = glto::glt::stats();
+  gs::MetricsSnapshot base = gs::metrics_snapshot();
   run();
-  const auto after = glto::glt::stats();
   for (auto& h : hits) EXPECT_EQ(h.load(), 2);
-  EXPECT_EQ(after.bulk_deposits - before.bulk_deposits, 1u)
+  EXPECT_EQ(gs::metrics_delta_since(base).value("sched.bulk_deposits"), 1u)
       << "sections blocks must cross the core as one bulk deposit";
 }
 

@@ -14,6 +14,7 @@
 #include "omp/kmp_abi.hpp"
 #include "omp/omp.hpp"
 #include "sched/chaos.hpp"
+#include "sched/metrics.hpp"
 
 namespace o = glto::omp;
 
@@ -320,7 +321,7 @@ TEST_P(TaskDep, SiblingDepsStillOrderInsideOneTask) {
       << "sibling out→in edge lost inside a depend-task body";
 }
 
-TEST_P(TaskDep, TaskStatsCountDeferAndWakeups) {
+TEST_P(TaskDep, DepCountersCountDeferAndWakeups) {
   if (glto::sched::chaos_enabled()) {
     // An injected spawn failure runs the chain head INLINE on the
     // producer (the documented degradation), which both breaks the
@@ -328,6 +329,7 @@ TEST_P(TaskDep, TaskStatsCountDeferAndWakeups) {
     // defer accounting this test asserts.
     GTEST_SKIP() << "defer accounting is bypassed by chaos inline spawns";
   }
+  glto::sched::MetricsSnapshot base = glto::sched::metrics_snapshot();
   int v = 0;
   std::atomic<bool> all_submitted{false};
   std::atomic<bool> submit_seen_late{false};
@@ -346,10 +348,10 @@ TEST_P(TaskDep, TaskStatsCountDeferAndWakeups) {
     all_submitted.store(true, std::memory_order_release);
   });
   ASSERT_FALSE(submit_seen_late.load());
-  const o::TaskStats st = o::task_stats();
-  EXPECT_EQ(st.deps_registered, 3u);
-  EXPECT_GE(st.deps_deferred, 2u);
-  EXPECT_GE(st.dag_ready_hits, 2u);
+  const auto d = glto::sched::metrics_delta_since(base);
+  EXPECT_EQ(d.value("deps.registered"), 3u);
+  EXPECT_GE(d.value("deps.deferred"), 2u);
+  EXPECT_GE(d.value("deps.ready_hits"), 2u);
 }
 
 TEST_P(TaskDep, TaskgroupInDependTaskWaitsOnlyItsChildren) {
