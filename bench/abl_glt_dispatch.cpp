@@ -33,6 +33,11 @@
 //    callable, which spills every payload. The registry's
 //    omp.task_inline/omp.task_alloc deltas print the split, proving the
 //    inline rate.
+//
+// glto-region: kRegions empty omp::parallel regions per rep on each GLTO
+// backend. The master forks one GLT_ult per non-master member and joins
+// them (§IV-C), so the row prices a region fork/join; it carries
+// glt.ults_created per region (Table II: team size − 1).
 #include <atomic>
 #include <cstdint>
 #include <cstdio>
@@ -73,6 +78,7 @@ void work_counted(void* p) {
 }
 
 constexpr int kBurst = 2048;
+constexpr int kRegions = 2000;
 
 struct AbtRun {
   explicit AbtRun(int threads) {
@@ -206,6 +212,34 @@ int main() {
       std::snprintf(row, sizeof row, "%s-ws-co", gg::impl_name(impl));
       b::print_row(row, nth, st);
       gg::finalize();
+    }
+  }
+
+  b::print_header("glto empty parallel region: fork+join (s)");
+  const struct {
+    o::RuntimeKind kind;
+    const char* row;
+  } region_cells[] = {{o::RuntimeKind::glto_abt, "glto-region-abt"},
+                      {o::RuntimeKind::glto_qth, "glto-region-qth"},
+                      {o::RuntimeKind::glto_mth, "glto-region-mth"}};
+  for (const auto& cell : region_cells) {
+    for (int nth : b::thread_sweep()) {
+      b::select_runtime(cell.kind, nth);
+      const auto run_regions = [] {
+        for (int k = 0; k < kRegions; ++k) o::parallel([](int, int) {});
+      };
+      run_regions();  // warm freelists / stack caches
+      gs::MetricsSnapshot base = gs::metrics_snapshot();
+      auto st = b::time_runs(reps, run_regions);
+      const double ults_per_region =
+          static_cast<double>(
+              gs::metrics_delta_since(base).value("glt.ults_created")) /
+          (static_cast<double>(reps) * kRegions);
+      char kv[64];
+      std::snprintf(kv, sizeof kv, "\"ults_per_region\": %.3f",
+                    ults_per_region);
+      b::print_row_json(cell.row, nth, st, kv);
+      o::shutdown();
     }
   }
 

@@ -32,6 +32,7 @@ WorkUnit* const kJoinerSentinel = reinterpret_cast<WorkUnit*>(std::uintptr_t(1))
 struct WorkUnit {
   WorkFn fn = nullptr;
   void* arg = nullptr;
+  /// Null until first dispatch: run_unit binds a queued ULT's stack then.
   fctx::fcontext_t ctx = nullptr;
   fctx::Stack stack;
   /// ASan bounds of the stack this unit runs on: its pooled stack for
@@ -203,6 +204,8 @@ void process_directive(fctx::transfer_t t) {
   }
 }
 
+void ult_entry(fctx::transfer_t t);
+
 void run_unit(WorkUnit* wu) {
   wu->last_rank.store(tls.rank, std::memory_order_relaxed);
   sched::trace_emit(sched::TraceKind::ult_switch,
@@ -223,6 +226,11 @@ void run_unit(WorkUnit* wu) {
     tls.current = prev;
     complete(wu);
     return;
+  }
+  if (wu->ctx == nullptr) {
+    // First dispatch of a queued ULT: it takes its stack here, from this
+    // xstream's cache, not from its creator's.
+    wu->ctx = fctx::bind_stack(&wu->stack, &wu->stack_region, ult_entry);
   }
   wu->state.store(State::Running, std::memory_order_relaxed);
   tls.current = wu;
@@ -320,9 +328,6 @@ WorkUnit* create_unit(Kind kind, int rank, bool pinned, WorkFn fn,
   if (wu == nullptr) wu = new WorkUnit();
   reset_unit(wu, kind, rank, pinned, fn, arg);
   if (kind == Kind::Ult) {
-    wu->stack = fctx::StackPool::global().acquire();
-    wu->ctx = fctx::make_fcontext(wu->stack.top, wu->stack.size, ult_entry);
-    wu->stack_region = wu->stack.region();
     g_rt->ults_created.fetch_add(1, std::memory_order_relaxed);
   } else {
     g_rt->tasklets_created.fetch_add(1, std::memory_order_relaxed);
@@ -469,9 +474,6 @@ void ult_create_bulk(WorkFn fn, void* const* args, int n, WorkUnit** out,
     WorkUnit* wu = g_rt->free->try_alloc(tls.rank);
     if (wu == nullptr) wu = new WorkUnit();
     reset_unit(wu, Kind::Ult, home, /*pinned=*/false, fn, args[i]);
-    wu->stack = fctx::StackPool::global().acquire();
-    wu->ctx = fctx::make_fcontext(wu->stack.top, wu->stack.size, ult_entry);
-    wu->stack_region = wu->stack.region();
     out[i] = wu;
   }
   g_rt->ults_created.fetch_add(static_cast<std::uint64_t>(n),

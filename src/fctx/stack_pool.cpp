@@ -29,14 +29,21 @@ std::size_t round_up_pages(std::size_t n) {
 
 }  // namespace
 
+namespace {
+struct ThreadCache;
+}  // namespace
+
 struct StackPool::Impl {
   glto::common::SpinLock lock;
   // recycled stacks (base addresses); guarded by lock
   std::vector<void*> free_bases GLTO_GUARDED_BY(lock);
   // everything mapped, for teardown; guarded by lock
   std::vector<void*> all_bases GLTO_GUARDED_BY(lock);
+  // live per-thread caches, summed by cache_hits(); guarded by lock
+  std::vector<ThreadCache*> caches GLTO_GUARDED_BY(lock);
+  // cache hits of threads that have exited; guarded by lock
+  std::uint64_t retired_hits GLTO_GUARDED_BY(lock) = 0;
   std::atomic<std::uint64_t> mapped{0};
-  std::atomic<std::uint64_t> cache_hits{0};
   bool per_thread_cache = false;
 };
 
@@ -48,16 +55,35 @@ namespace {
 struct ThreadCache {
   StackPool::Impl* owner = nullptr;
   std::vector<void*> bases;
+  /// acquire() calls served from `bases`. Only the owning thread writes
+  /// it (a load and a store, no shared read-modify-write: every worker
+  /// binds stacks concurrently); cache_hits() sums it under the lock.
+  std::atomic<std::uint64_t> hits{0};
 
   ~ThreadCache() {
-    if (owner == nullptr || bases.empty()) return;
+    if (owner == nullptr) return;
     glto::common::SpinGuard g(owner->lock);
     owner->free_bases.insert(owner->free_bases.end(), bases.begin(),
                              bases.end());
+    owner->retired_hits += hits.load(std::memory_order_relaxed);
+    auto& live = owner->caches;
+    live.erase(std::find(live.begin(), live.end(), this));
   }
 };
 
 thread_local ThreadCache t_cache;
+
+/// The calling thread's cache for @p impl, binding it on first use; null
+/// when @p impl does not cache or this thread's cache serves another pool.
+ThreadCache* thread_cache(StackPool::Impl* impl) {
+  if (!impl->per_thread_cache) return nullptr;
+  if (t_cache.owner == impl) return &t_cache;
+  if (t_cache.owner != nullptr) return nullptr;
+  t_cache.owner = impl;
+  glto::common::SpinGuard g(impl->lock);
+  impl->caches.push_back(&t_cache);
+  return &t_cache;
+}
 
 }  // namespace
 
@@ -91,13 +117,12 @@ Stack StackPool::make_stack(void* base) const {
 }
 
 Stack StackPool::acquire() {
-  if (impl_->per_thread_cache &&
-      (t_cache.owner == impl_ || t_cache.owner == nullptr)) {
-    t_cache.owner = impl_;
-    if (!t_cache.bases.empty()) {
-      void* base = t_cache.bases.back();
-      t_cache.bases.pop_back();
-      impl_->cache_hits.fetch_add(1, std::memory_order_relaxed);
+  if (ThreadCache* tc = thread_cache(impl_)) {
+    if (!tc->bases.empty()) {
+      void* base = tc->bases.back();
+      tc->bases.pop_back();
+      tc->hits.store(tc->hits.load(std::memory_order_relaxed) + 1,
+                     std::memory_order_relaxed);
       return make_stack(base);
     }
     // Batch refill: one lock acquisition amortized over kCacheRefillBatch
@@ -107,13 +132,13 @@ Stack StackPool::acquire() {
       const std::size_t take =
           std::min(kCacheRefillBatch, impl_->free_bases.size());
       for (std::size_t i = 0; i < take; ++i) {
-        t_cache.bases.push_back(impl_->free_bases.back());
+        tc->bases.push_back(impl_->free_bases.back());
         impl_->free_bases.pop_back();
       }
     }
-    if (!t_cache.bases.empty()) {
-      void* base = t_cache.bases.back();
-      t_cache.bases.pop_back();
+    if (!tc->bases.empty()) {
+      void* base = tc->bases.back();
+      tc->bases.pop_back();
       return make_stack(base);
     }
   } else {
@@ -143,19 +168,16 @@ void StackPool::release(Stack s) {
   if (!s.valid()) return;
   asan_clear_stack(s.region());  // drop poison left by abandoned frames
   tsan_fiber_destroy(s.tsan);    // retire the occupant's TSan identity
-  if (impl_->per_thread_cache &&
-      (t_cache.owner == impl_ || t_cache.owner == nullptr)) {
-    t_cache.owner = impl_;
-    t_cache.bases.push_back(s.base);
-    if (t_cache.bases.size() > kCacheSpillHigh) {
+  if (ThreadCache* tc = thread_cache(impl_)) {
+    tc->bases.push_back(s.base);
+    if (tc->bases.size() > kCacheSpillHigh) {
       // Spill half back to the shared freelist in one lock acquisition so
       // a join-heavy thread keeps feeding spawn-heavy ones.
       const std::size_t keep = kCacheSpillHigh / 2;
       glto::common::SpinGuard g(impl_->lock);
       impl_->free_bases.insert(impl_->free_bases.end(),
-                               t_cache.bases.begin() + keep,
-                               t_cache.bases.end());
-      t_cache.bases.resize(keep);
+                               tc->bases.begin() + keep, tc->bases.end());
+      tc->bases.resize(keep);
     }
     return;
   }
@@ -168,7 +190,12 @@ std::uint64_t StackPool::total_mapped() const {
 }
 
 std::uint64_t StackPool::cache_hits() const {
-  return impl_->cache_hits.load(std::memory_order_relaxed);
+  glto::common::SpinGuard g(impl_->lock);
+  std::uint64_t total = impl_->retired_hits;
+  for (const ThreadCache* tc : impl_->caches) {
+    total += tc->hits.load(std::memory_order_relaxed);
+  }
+  return total;
 }
 
 StackPool& StackPool::global() {

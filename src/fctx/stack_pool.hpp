@@ -61,6 +61,8 @@ class StackPool {
   [[nodiscard]] std::uint64_t total_mapped() const;
 
   /// acquire() calls served from a per-thread cache without locking.
+  /// Each thread counts its own hits; this sums them (exact, takes the
+  /// pool lock — a reader's call, not a hot-path one).
   [[nodiscard]] std::uint64_t cache_hits() const;
 
   /// The process-wide default pool (64 KiB stacks, per-thread caches on).
@@ -80,5 +82,18 @@ class StackPool {
   Impl* impl_;
   std::size_t stack_size_;
 };
+
+/// Binds a stack to a ULT at its first dispatch and returns the fresh
+/// context, entering @p fn, that runs on it; @p stack and @p region
+/// receive the stack and its sanitizer identity. The backends call this
+/// from the worker that first runs the ULT, not from the creator: a queued
+/// ULT holds no stack, and the worker's thread cache hands out the stack
+/// it released last, still warm in its own cache.
+inline fcontext_t bind_stack(Stack* stack, StackRegion* region,
+                             entry_fn fn) {
+  *stack = StackPool::global().acquire();
+  *region = stack->region();
+  return make_fcontext(stack->top, stack->size, fn);
+}
 
 }  // namespace glto::fctx

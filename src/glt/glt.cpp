@@ -5,11 +5,13 @@
 #include "abt/abt.hpp"
 #include "common/debug.hpp"
 #include "common/env.hpp"
+#include "common/spin.hpp"
 #include "mth/mth.hpp"
 #include "qth/qth.hpp"
 #include "sched/chaos.hpp"
 #include "sched/trace.hpp"
 #include "sched/watchdog.hpp"
+#include "sched/ws_core.hpp"
 
 namespace glto::glt {
 
@@ -272,6 +274,15 @@ void ult_join(Ult* u) {
   // progress, and a join that suspends into backend work keeps bumping
   // progress through WsCore::acquire.
   sched::watchdog_enter_wait();
+  // A join whose worker has nothing else to run polls for a few probes
+  // before it suspends: a ULT about to finish (a team member's empty
+  // share) then costs no trip through the scheduler. When the worker has
+  // runnable work, the join suspends at once and runs it.
+  for (int i = 0; i < sched::kIdleSpinProbes && !ult_is_done(u) &&
+                  !maybe_work();
+       ++i) {
+    common::cpu_relax();
+  }
   switch (g_state->cfg.impl) {
     case Impl::abt:
       abt::join(reinterpret_cast<abt::WorkUnit*>(u));

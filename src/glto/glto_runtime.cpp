@@ -11,6 +11,7 @@
 #include "common/env.hpp"
 #include "common/spin.hpp"
 #include "common/time.hpp"
+#include "omp/loop_ring.hpp"
 #include "omp/task_support.hpp"
 #include "sched/chaos.hpp"
 #include "sched/freelist.hpp"
@@ -25,26 +26,16 @@ namespace {
 
 using omp::Schedule;
 
-constexpr int kLoopRing = 8;  ///< concurrent nowait loop descriptors per team
-
 /// GLT_ults created since glt::init (Table II), read from the registry.
 std::uint64_t glt_ults_created() {
   return sched::metrics_snapshot().value("glt.ults_created");
 }
 
-/// One work-sharing loop instance shared by a team.
-struct LoopDesc {
-  std::int64_t lo = 0;
-  std::int64_t hi = 0;
-  std::int64_t chunk = 0;
-  Schedule sched = Schedule::Static;
-  std::atomic<std::int64_t> next{0};
-  std::atomic<std::uint64_t> ready_seq{0};  ///< loop instance published
-};
-
 struct TaskCtx;
 
 using omp::detail::DepPayload;
+using omp::detail::LoopCursor;
+using omp::detail::LoopRing;
 using omp::detail::ReadyGate;
 using omp::detail::tg_cancelled;
 using omp::detail::TgScope;
@@ -54,6 +45,8 @@ struct Team {
   int size = 1;
   int level = 0;
   Team* parent = nullptr;
+  /// Non-owning: the forking caller's frame outlives the join.
+  omp::RegionBody body;
 
   // Blocking team barrier: non-last arrivers park on the wait list (their
   // GLT_thread runs sibling ULTs meanwhile), the last arriver wakes the
@@ -64,8 +57,7 @@ struct Team {
   std::atomic<std::uint64_t> single_claimed{0};
 
   // Work-sharing loop instances (ring buffer, nowait-tolerant).
-  LoopDesc loops[kLoopRing];
-  std::atomic<std::uint64_t> loops_inited{0};
+  LoopRing loops;
 
   // Round-robin cursor for producer-pattern task dispatch (§IV-D).
   std::atomic<std::uint64_t> task_rr{0};
@@ -94,13 +86,9 @@ struct TaskCtx {
   /// Innermost active taskgroup of this task (nullptr outside groups).
   TgScope* group = nullptr;
 
-  // Per-member construct counters.
+  // Per-member construct state.
   std::uint64_t single_seq = 0;
-  std::uint64_t loop_seq = 0;
-
-  // Active loop state.
-  LoopDesc* loop = nullptr;
-  std::int64_t static_k = 0;  ///< next static chunk index for this member
+  LoopCursor loop;
 
   // Producer-pattern detection for task dispatch.
   bool in_single = false;
@@ -119,13 +107,16 @@ struct TaskCtx {
   return reinterpret_cast<std::uintptr_t>(c);
 }
 
-/// Argument block for team-member ULT thunks. RegionBody is non-owning:
-/// the forking caller's frame outlives the join.
+/// Argument block for team-member ULT thunks. Trivially constructible,
+/// so the fork's inline array costs no initialisation.
 struct MemberArg {
   Team* team;
   int tid;
-  omp::RegionBody body;
 };
+
+/// Team size up to which a region fork keeps its member arguments and
+/// ULT handles in fixed arrays on the forking frame.
+constexpr int kInlineTeam = 64;
 
 // GLTO's waits no longer poll. Barriers, taskgroup ends, dep gates and
 // critical sections block on the sched:: primitives (Barrier,
@@ -225,6 +216,7 @@ class GltoRuntime final : public omp::Runtime {
     team.level = new_level;
     team.parent = pctx->team;
     team.barrier.init(nth);
+    team.body = body;
 
     // §IV-C / §IV-E: outer-level members go one-per-GLT_thread, pinned
     // (exact placement — the §IV-C contract the placement tests enforce);
@@ -234,23 +226,29 @@ class GltoRuntime final : public omp::Runtime {
     // no bulk deposit — the batch path is for task bursts, where one
     // victim receives many units.
     const bool outer = new_level == 1;
-    std::vector<MemberArg> args(static_cast<std::size_t>(nth));
-    std::vector<glt::Ult*> ults;
-    ults.reserve(static_cast<std::size_t>(nth > 0 ? nth - 1 : 0));
+    // Teams up to kInlineTeam members fork without touching the heap.
+    MemberArg inline_args[kInlineTeam];
+    glt::Ult* inline_ults[kInlineTeam];
+    std::vector<MemberArg> heap_args;
+    std::vector<glt::Ult*> heap_ults;
+    MemberArg* args = inline_args;
+    glt::Ult** ults = inline_ults;
+    if (nth > kInlineTeam) {
+      heap_args.resize(static_cast<std::size_t>(nth));
+      heap_ults.resize(static_cast<std::size_t>(nth));
+      args = heap_args.data();
+      ults = heap_ults.data();
+    }
     const int glt_n = glt::num_threads();
     for (int i = 1; i < nth; ++i) {
-      args[static_cast<std::size_t>(i)] = MemberArg{&team, i, body};
-      glt::Ult* u =
-          outer ? glt::ult_create_to(i % glt_n, member_thunk,
-                                     &args[static_cast<std::size_t>(i)])
-                : glt::ult_create(member_thunk,
-                                  &args[static_cast<std::size_t>(i)]);
-      ults.push_back(u);
+      args[i] = MemberArg{&team, i};
+      ults[i] = outer ? glt::ult_create_to(i % glt_n, member_thunk, &args[i])
+                      : glt::ult_create(member_thunk, &args[i]);
     }
 
     // Master executes member 0 inline, then joins (implicit barrier).
     run_member(&team, 0, body, pctx);
-    for (auto* u : ults) glt::ult_join(u);
+    for (int i = 1; i < nth; ++i) glt::ult_join(ults[i]);
   }
 
   int thread_num() override {
@@ -274,90 +272,16 @@ class GltoRuntime final : public omp::Runtime {
   void loop_begin(std::int64_t lo, std::int64_t hi, Schedule sched,
                   std::int64_t chunk) override {
     TaskCtx* c = cur();
-    Team* t = c->team;
-    const std::uint64_t seq = c->loop_seq++;
-    LoopDesc& d = t->loops[seq % kLoopRing];
-    std::uint64_t expected = seq;
-    if (t->loops_inited.compare_exchange_strong(expected, seq + 1,
-                                                std::memory_order_acq_rel)) {
-      d.lo = lo;
-      d.hi = hi;
-      d.sched = sched;
-      d.chunk = chunk;
-      d.next.store(lo, std::memory_order_relaxed);
-      d.ready_seq.store(seq + 1, std::memory_order_release);
-    } else {
-      while (d.ready_seq.load(std::memory_order_acquire) < seq + 1) {
-        glt::yield();
-      }
-    }
-    c->loop = &d;
-    c->static_k = 0;
+    c->team->loops.begin(c->loop, c->team->size, lo, hi, sched, chunk,
+                         [] { glt::yield(); });
   }
 
   bool loop_next(std::int64_t* lo, std::int64_t* hi) override {
     TaskCtx* c = cur();
-    LoopDesc* d = c->loop;
-    GLTO_CHECK_MSG(d != nullptr, "loop_next outside a loop construct");
-    const std::int64_t n = d->hi - d->lo;
-    if (n <= 0) return false;
-    const int p = c->team->size;
-    switch (d->sched) {
-      case Schedule::Auto:
-      case Schedule::Runtime:  // resolved by the facade; fall back safely
-      case Schedule::Static: {
-        if (d->chunk <= 0) {
-          // One balanced block per member.
-          if (c->static_k > 0) return false;
-          const std::int64_t base = n / p, rem = n % p;
-          const std::int64_t b =
-              d->lo + c->tid * base + std::min<std::int64_t>(c->tid, rem);
-          const std::int64_t e = b + base + (c->tid < rem ? 1 : 0);
-          if (b >= e) return false;
-          *lo = b;
-          *hi = e;
-          c->static_k = 1;
-          return true;
-        }
-        // Round-robin chunks: tid, tid+p, tid+2p, ...
-        const std::int64_t idx = c->tid + c->static_k * p;
-        const std::int64_t b = d->lo + idx * d->chunk;
-        if (b >= d->hi) return false;
-        *lo = b;
-        *hi = std::min(d->hi, b + d->chunk);
-        c->static_k++;
-        return true;
-      }
-      case Schedule::Dynamic: {
-        const std::int64_t step = d->chunk > 0 ? d->chunk : 1;
-        const std::int64_t b =
-            d->next.fetch_add(step, std::memory_order_relaxed);
-        if (b >= d->hi) return false;
-        *lo = b;
-        *hi = std::min(d->hi, b + step);
-        return true;
-      }
-      case Schedule::Guided: {
-        const std::int64_t min_chunk = d->chunk > 0 ? d->chunk : 1;
-        std::int64_t b = d->next.load(std::memory_order_relaxed);
-        for (;;) {
-          if (b >= d->hi) return false;
-          const std::int64_t remaining = d->hi - b;
-          const std::int64_t take =
-              std::max<std::int64_t>(min_chunk, remaining / (2 * p));
-          if (d->next.compare_exchange_weak(b, b + take,
-                                            std::memory_order_relaxed)) {
-            *lo = b;
-            *hi = std::min(d->hi, b + take);
-            return true;
-          }
-        }
-      }
-    }
-    return false;
+    return LoopRing::next(c->loop, c->tid, c->team->size, lo, hi);
   }
 
-  void loop_end() override { cur()->loop = nullptr; }
+  void loop_end() override { LoopRing::end(cur()->loop); }
 
   void barrier() override { barrier_wait(cur()->team); }
 
@@ -630,7 +554,7 @@ class GltoRuntime final : public omp::Runtime {
     ctx.team = a->team;
     ctx.tid = a->tid;
     glt::set_self_local(&ctx);
-    a->body(a->tid, a->team->size);
+    a->team->body(a->tid, a->team->size);
     join_children(&ctx);
   }
 

@@ -40,6 +40,7 @@ Strand* const kJoinerSentinel = reinterpret_cast<Strand*>(std::uintptr_t(1));
 struct Strand {
   WorkFn fn = nullptr;
   void* arg = nullptr;
+  /// Null until first dispatch for a queued strand (see dispatch_ctx).
   fctx::fcontext_t ctx = nullptr;
   fctx::Stack stack;
   /// ASan bounds of the stack this strand runs on: its pooled stack for
@@ -204,6 +205,18 @@ __attribute__((noinline)) void strand_landing(Strand* self,
   }
 }
 
+void strand_entry(fctx::transfer_t t);
+
+/// The context that resumes @p s. A queued (bulk-created) strand has none
+/// until its first dispatch, which binds its stack on the dispatching
+/// worker, from that worker's own cache.
+fctx::fcontext_t dispatch_ctx(Strand* s) {
+  if (s->ctx == nullptr) {
+    s->ctx = fctx::bind_stack(&s->stack, &s->stack_region, strand_entry);
+  }
+  return s->ctx;
+}
+
 /// Picks the next runnable strand without idling: worker 0's main slot
 /// first, then the shared core's own pool (work-first order), then one
 /// randomized steal sweep. Returns nullptr when idle.
@@ -234,7 +247,7 @@ __attribute__((noinline)) void leave(SwitchMsg msg) {
     fctx::fcontext_t to;
     fctx::StackRegion to_region;
     if (Strand* next = find_next()) {
-      to = next->ctx;
+      to = dispatch_ctx(next);
       to_region = next->stack_region;
       msg.resumee = next;
     } else if (w.base_ctx != nullptr) {
@@ -270,7 +283,7 @@ void base_loop() {
                       reinterpret_cast<std::uintptr_t>(s));
     SwitchMsg resume{Dir::Resume, nullptr, nullptr, s};
     fctx::transfer_t t =
-        fctx::jump_fcontext_to(s->ctx, &resume, s->stack_region);
+        fctx::jump_fcontext_to(dispatch_ctx(s), &resume, s->stack_region);
     // A strand fell back to us with a directive.
     SwitchMsg in = *static_cast<SwitchMsg*>(t.data);
     process_directive(in, t.from);
@@ -339,10 +352,7 @@ void create_bulk_impl(WorkFn fn, void* const* args, int n, Strand** out) {
     child->last_rank.store(-1, std::memory_order_relaxed);
     child->kind = Kind::Ult;
     child->user_local = nullptr;
-    child->stack = fctx::StackPool::global().acquire();
-    child->ctx = fctx::make_fcontext(child->stack.top, child->stack.size,
-                                     strand_entry);
-    child->stack_region = child->stack.region();
+    child->ctx = nullptr;  // queued: dispatch_ctx binds its stack
     out[i] = child;
   }
   g_rt->strands_created.fetch_add(static_cast<std::uint64_t>(n),
@@ -486,10 +496,8 @@ Strand* create(WorkFn fn, void* arg) {
   child->last_rank.store(-1, std::memory_order_relaxed);
   child->kind = Kind::Ult;
   child->user_local = nullptr;
-  child->stack = fctx::StackPool::global().acquire();
   child->ctx =
-      fctx::make_fcontext(child->stack.top, child->stack.size, strand_entry);
-  child->stack_region = child->stack.region();
+      fctx::bind_stack(&child->stack, &child->stack_region, strand_entry);
   g_rt->strands_created.fetch_add(1, std::memory_order_relaxed);
 
   // Work-first: run the child NOW; our continuation is published by the

@@ -18,6 +18,7 @@
 #include "common/env.hpp"
 #include "common/rng.hpp"
 #include "common/spin.hpp"
+#include "omp/loop_ring.hpp"
 #include "omp/task_support.hpp"
 #include "sched/chaos.hpp"
 #include "sched/freelist.hpp"
@@ -33,19 +34,12 @@ namespace {
 
 using omp::Schedule;
 
-constexpr int kLoopRing = 8;
-
-struct LoopDesc {
-  std::int64_t lo = 0, hi = 0, chunk = 0;
-  Schedule sched = Schedule::Static;
-  std::atomic<std::int64_t> next{0};
-  std::atomic<std::uint64_t> ready_seq{0};
-};
-
 struct TaskCtx;
 class PompRuntime;
 
 using omp::detail::DepPayload;
+using omp::detail::LoopCursor;
+using omp::detail::LoopRing;
 using omp::detail::ReadyGate;
 using omp::detail::tg_cancelled;
 using omp::detail::TgScope;
@@ -112,8 +106,7 @@ struct PompTeam {
   std::atomic<int> barrier_arrived{0};
   std::atomic<std::uint64_t> barrier_epoch{0};
   std::atomic<std::uint64_t> single_claimed{0};
-  LoopDesc loops[kLoopRing];
-  std::atomic<std::uint64_t> loops_inited{0};
+  LoopRing loops;
 
   /// Deferred tasks belonging to this region, not yet finished.
   std::atomic<std::int64_t> tasks_outstanding{0};
@@ -133,9 +126,7 @@ struct TaskCtx {
   TaskCtx* parent = nullptr;
   std::atomic<std::int64_t> children_outstanding{0};
   std::uint64_t single_seq = 0;
-  std::uint64_t loop_seq = 0;
-  LoopDesc* loop = nullptr;
-  std::int64_t static_k = 0;
+  LoopCursor loop;
   bool in_single = false;
   bool in_master = false;
   TgScope* group = nullptr;  ///< innermost active taskgroup of this task
@@ -286,88 +277,16 @@ class PompRuntime : public omp::Runtime {
   void loop_begin(std::int64_t lo, std::int64_t hi, Schedule sched,
                   std::int64_t chunk) override {
     TaskCtx* c = t_ctx;
-    PompTeam* t = c->team;
-    const std::uint64_t seq = c->loop_seq++;
-    LoopDesc& d = t->loops[seq % kLoopRing];
-    std::uint64_t expected = seq;
-    if (t->loops_inited.compare_exchange_strong(expected, seq + 1,
-                                                std::memory_order_acq_rel)) {
-      d.lo = lo;
-      d.hi = hi;
-      d.sched = sched;
-      d.chunk = chunk;
-      d.next.store(lo, std::memory_order_relaxed);
-      d.ready_seq.store(seq + 1, std::memory_order_release);
-    } else {
-      while (d.ready_seq.load(std::memory_order_acquire) < seq + 1) {
-        wait_relax();
-      }
-    }
-    c->loop = &d;
-    c->static_k = 0;
+    c->team->loops.begin(c->loop, c->team->size, lo, hi, sched, chunk,
+                         [this] { wait_relax(); });
   }
 
   bool loop_next(std::int64_t* lo, std::int64_t* hi) override {
     TaskCtx* c = t_ctx;
-    LoopDesc* d = c->loop;
-    GLTO_CHECK_MSG(d != nullptr, "loop_next outside a loop construct");
-    const std::int64_t n = d->hi - d->lo;
-    if (n <= 0) return false;
-    const int p = c->team->size;
-    switch (d->sched) {
-      case Schedule::Auto:
-      case Schedule::Runtime:  // resolved by the facade; fall back safely
-      case Schedule::Static: {
-        if (d->chunk <= 0) {
-          if (c->static_k > 0) return false;
-          const std::int64_t base = n / p, rem = n % p;
-          const std::int64_t b =
-              d->lo + c->tid * base + std::min<std::int64_t>(c->tid, rem);
-          const std::int64_t e = b + base + (c->tid < rem ? 1 : 0);
-          if (b >= e) return false;
-          *lo = b;
-          *hi = e;
-          c->static_k = 1;
-          return true;
-        }
-        const std::int64_t idx = c->tid + c->static_k * p;
-        const std::int64_t b = d->lo + idx * d->chunk;
-        if (b >= d->hi) return false;
-        *lo = b;
-        *hi = std::min(d->hi, b + d->chunk);
-        c->static_k++;
-        return true;
-      }
-      case Schedule::Dynamic: {
-        const std::int64_t step = d->chunk > 0 ? d->chunk : 1;
-        const std::int64_t b =
-            d->next.fetch_add(step, std::memory_order_relaxed);
-        if (b >= d->hi) return false;
-        *lo = b;
-        *hi = std::min(d->hi, b + step);
-        return true;
-      }
-      case Schedule::Guided: {
-        const std::int64_t min_chunk = d->chunk > 0 ? d->chunk : 1;
-        std::int64_t b = d->next.load(std::memory_order_relaxed);
-        for (;;) {
-          if (b >= d->hi) return false;
-          const std::int64_t remaining = d->hi - b;
-          const std::int64_t take =
-              std::max<std::int64_t>(min_chunk, remaining / (2 * p));
-          if (d->next.compare_exchange_weak(b, b + take,
-                                            std::memory_order_relaxed)) {
-            *lo = b;
-            *hi = std::min(d->hi, b + take);
-            return true;
-          }
-        }
-      }
-    }
-    return false;
+    return LoopRing::next(c->loop, c->tid, c->team->size, lo, hi);
   }
 
-  void loop_end() override { t_ctx->loop = nullptr; }
+  void loop_end() override { LoopRing::end(t_ctx->loop); }
 
   // ---- synchronization ----------------------------------------------------
 

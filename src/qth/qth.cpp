@@ -32,6 +32,7 @@ struct Thread {
   QthFn fn = nullptr;
   void* arg = nullptr;
   aligned_t* ret = nullptr;
+  /// Null until first dispatch: run_thread binds a queued qthread's stack.
   fctx::fcontext_t ctx = nullptr;
   fctx::Stack stack;
   /// ASan bounds of the stack this thread runs on: its pooled stack for
@@ -324,9 +325,16 @@ void process_directive(fctx::transfer_t t) {
   }
 }
 
+void qthread_entry(fctx::transfer_t t);
+
 void run_thread(Thread* th) {
   sched::trace_emit(sched::TraceKind::ult_switch,
                     reinterpret_cast<std::uintptr_t>(th));
+  if (th->ctx == nullptr) {
+    // First dispatch of a queued qthread: it takes its stack here, from
+    // this shepherd's cache, not from its creator's.
+    th->ctx = fctx::bind_stack(&th->stack, &th->stack_region, qthread_entry);
+  }
   tls.current = th;
   SwitchMsg resume{Dir::Resume, th, FebOp::ReadFF, nullptr, nullptr, 0};
   fctx::transfer_t t = fctx::jump_fcontext_to(th->ctx, &resume,
@@ -524,9 +532,6 @@ void fork_impl(int shep, bool pinned, QthFn fn, void* arg, aligned_t* ret) {
   th->kind = Kind::Qthread;
   th->pinned = pinned;
   th->user_local = nullptr;
-  th->stack = fctx::StackPool::global().acquire();
-  th->ctx = fctx::make_fcontext(th->stack.top, th->stack.size, qthread_entry);
-  th->stack_region = th->stack.region();
   g_rt->threads_created.fetch_add(1, std::memory_order_relaxed);
   g_rt->core->submit(tls.rank, shep, pinned, th);
 }
@@ -561,10 +566,6 @@ void fork_bulk(QthFn fn, void* const* args, aligned_t* const* rets, int n,
       th->kind = Kind::Qthread;
       th->pinned = false;
       th->user_local = nullptr;
-      th->stack = fctx::StackPool::global().acquire();
-      th->ctx =
-          fctx::make_fcontext(th->stack.top, th->stack.size, qthread_entry);
-      th->stack_region = th->stack.region();
       wave[i] = th;
     }
     g_rt->threads_created.fetch_add(static_cast<std::uint64_t>(take),

@@ -78,6 +78,10 @@ struct WsCoreConfig {
 inline constexpr std::int64_t kParkMinUs = 200;
 inline constexpr std::int64_t kParkMaxUs = 2000;
 
+/// Fruitless probes an idle worker spins (cpu_relax) before it yields its
+/// core. glt::ult_join polls the same bound before it suspends.
+inline constexpr int kIdleSpinProbes = 64;
+
 /// Per-loop acquire state: pop-fairness tick, idle backoff, main-slot
 /// alternation, and the steal-victim RNG. One per scheduler loop, owned by
 /// the loop (stack or TLS) — never shared between OS threads.
@@ -369,7 +373,7 @@ class WsCore {
         }
         return T{};
       }
-      if (++st.idle < 64) {
+      if (++st.idle < kIdleSpinProbes) {
         common::cpu_relax();
       } else if (st.idle < 96) {
         std::this_thread::yield();

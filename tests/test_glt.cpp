@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "common/env.hpp"
+#include "fctx/stack_pool.hpp"
 #include "glt/glt.hpp"
 
 namespace gg = glto::glt;
@@ -277,6 +278,83 @@ TEST_P(GltBackend, FanOutFanInPattern) {
 }
 
 INSTANTIATE_TEST_SUITE_P(AllBackends, GltBackend,
+                         ::testing::Values(gg::Impl::abt, gg::Impl::qth,
+                                           gg::Impl::mth),
+                         [](const ::testing::TestParamInfo<gg::Impl>& info) {
+                           return gg::impl_name(info.param);
+                         });
+
+// One GLT_thread: nothing a test creates runs until main suspends, so the
+// stack-pool counters show exactly when a ULT takes its stack.
+class GltOneThread : public ::testing::TestWithParam<gg::Impl> {
+ protected:
+  void SetUp() override {
+    gg::Config cfg;
+    cfg.impl = GetParam();
+    cfg.num_threads = 1;
+    cfg.bind_threads = false;
+    gg::init(cfg);
+  }
+  void TearDown() override { gg::finalize(); }
+};
+
+TEST_P(GltOneThread, QueuedUltHoldsNoStack) {
+  // A queued ULT takes its stack at first dispatch, so creating a burst
+  // maps and reuses no stacks. mth's ult_create runs the child at once
+  // (work-first); its queued path is the help-first bulk create.
+  constexpr int kN = 256;
+  auto bump = [](void* p) { static_cast<std::atomic<int>*>(p)->fetch_add(1); };
+  std::atomic<int> ran{0};
+  std::vector<void*> args(kN, &ran);
+  std::vector<gg::Ult*> us(kN);
+  auto& pool = glto::fctx::StackPool::global();
+  const auto hits_before = pool.cache_hits();
+  const auto mapped_before = pool.total_mapped();
+  if (GetParam() == gg::Impl::mth) {
+    gg::ult_create_bulk(bump, args.data(), kN, us.data(), /*spread=*/false);
+  } else {
+    for (int i = 0; i < kN; ++i) us[i] = gg::ult_create(bump, &ran);
+  }
+  EXPECT_EQ(ran.load(), 0) << "nothing runs before main suspends";
+  EXPECT_EQ(pool.cache_hits(), hits_before) << "a queued ULT took a stack";
+  EXPECT_EQ(pool.total_mapped(), mapped_before)
+      << "a queued ULT mapped a stack";
+  for (auto* u : us) gg::ult_join(u);
+  EXPECT_EQ(ran.load(), kN);
+  EXPECT_GT(pool.cache_hits(), hits_before)
+      << "dispatched ULTs take recycled stacks from the worker's cache";
+}
+
+TEST_P(GltOneThread, JoinRunsTheUltItWaitsOn) {
+  // Main joins A; A waits on an event that B, created after A, sets. The
+  // join must give the only GLT_thread to A and B instead of polling.
+  struct Ctx {
+    gg::event ready;
+    std::atomic<int> a_done{0};
+    std::atomic<int> b_done{0};
+  } ctx;
+  gg::Ult* a = gg::ult_create(
+      [](void* p) {
+        auto* c = static_cast<Ctx*>(p);
+        c->ready.wait();
+        c->a_done.fetch_add(1);
+      },
+      &ctx);
+  gg::Ult* b = gg::ult_create(
+      [](void* p) {
+        auto* c = static_cast<Ctx*>(p);
+        c->b_done.fetch_add(1);
+        c->ready.set();
+      },
+      &ctx);
+  gg::ult_join(a);
+  EXPECT_EQ(ctx.a_done.load(), 1);
+  EXPECT_EQ(ctx.b_done.load(), 1);
+  gg::ult_join(b);
+  EXPECT_EQ(ctx.b_done.load(), 1);
+}
+
+INSTANTIATE_TEST_SUITE_P(AllBackends, GltOneThread,
                          ::testing::Values(gg::Impl::abt, gg::Impl::qth,
                                            gg::Impl::mth),
                          [](const ::testing::TestParamInfo<gg::Impl>& info) {

@@ -142,6 +142,49 @@ TEST_P(OmpExt, AutoScheduleCoversRange) {
   for (std::int64_t i = 0; i < kN; ++i) EXPECT_EQ(hits[i].load(), 1);
 }
 
+TEST_P(OmpExt, NowaitLoopRingWaitsForLaggingMember) {
+  // Twenty nowait static loops; loop k covers [0, 64 - k). Member 3 starts
+  // late, so the others run up to eight loops ahead of it and loop 8
+  // lands in the ring slot of the loop 0 member 3 has not begun. It waits
+  // until member 0 has finished loop 9 — or, since the ring holds loop 8
+  // until member 3 has left loop 0, until member 0 sits at loop 8 for
+  // kPatience yields. Either way every (loop, index) cell must be hit
+  // exactly once: a member must never run another loop's range.
+  constexpr int kLoops = 20;
+  constexpr int kTrip = 64;
+  constexpr int kPatience = 20000;
+  std::vector<std::atomic<int>> hits(kLoops * kTrip);
+  std::atomic<int> m0_finished{0};
+  o::parallel(4, [&](int tid, int) {
+    if (tid == 3) {
+      int patience = kPatience;
+      while (m0_finished.load() < 10 &&
+             (m0_finished.load() < 8 || --patience > 0)) {
+        o::taskyield();
+      }
+    }
+    for (int k = 0; k < kLoops; ++k) {
+      o::loop(0, kTrip - k, {o::Schedule::Static, 0},
+              [&, k](std::int64_t b, std::int64_t e) {
+                for (std::int64_t i = b; i < e; ++i) {
+                  hits[static_cast<std::size_t>(k * kTrip + i)].fetch_add(1);
+                }
+              });
+      if (tid == 0) m0_finished.store(k + 1);
+    }
+  });
+  int wrong = 0;
+  for (int k = 0; k < kLoops; ++k) {
+    for (int i = 0; i < kTrip; ++i) {
+      const int want = i < kTrip - k ? 1 : 0;
+      if (hits[static_cast<std::size_t>(k * kTrip + i)].load() != want) {
+        ++wrong;
+      }
+    }
+  }
+  EXPECT_EQ(wrong, 0) << "cells of " << kLoops * kTrip << " hit wrongly";
+}
+
 INSTANTIATE_TEST_SUITE_P(
     AllRuntimes, OmpExt,
     ::testing::Values(o::RuntimeKind::gnu, o::RuntimeKind::intel,
